@@ -3,7 +3,6 @@ perpendicular magnetic field: autocorrelation revivals, classical cyclotron
 currents, zitterbewegung, and their degradation under Landau-level broadening.
 """
 
-from ._kernels import HAS_NUMBA, USE_NUMBA, backend
 from .constants import (E_CHARGE, FERMI_VELOCITY_DEFAULT, HBAR, FieldParams,
                         convert, magnetic_length, omega)
 from .spectrum import (SpectrumModel, TimeScales, landau_energy,
@@ -12,7 +11,8 @@ from .wavepacket import (PacketSpec, WeightTable, build_weights,
                          truncation_range, weight_at)
 from .observables import (BroadeningModel, ObservableSeries, TimeGrid,
                           abs_squared, autocorrelation, current_single_band,
-                          current_two_band, total_current_both_valleys)
+                          current_two_band, currents, damped,
+                          total_current_both_valleys)
 from .eigenstates import Eigenspinor, eigenspinor, hermite_function
 from .analysis import (Peak, RevivalReport, StationResult,
                        default_gamma_criterion, detect_revivals,
@@ -28,12 +28,12 @@ __all__ = [
     "timescales", "zb_period_with_gap",
     "PacketSpec", "WeightTable", "truncation_range", "build_weights", "weight_at",
     "TimeGrid", "ObservableSeries", "BroadeningModel", "autocorrelation",
-    "current_single_band", "current_two_band", "total_current_both_valleys",
+    "current_single_band", "current_two_band", "currents", "damped",
+    "total_current_both_valleys",
     "abs_squared",
     "Eigenspinor", "hermite_function", "eigenspinor",
     "Peak", "StationResult", "RevivalReport", "find_peaks", "detect_revivals",
     "measure_period", "dominant_period", "estimate_gamma_max",
     "default_gamma_criterion", "station_visible_log",
-    "HAS_NUMBA", "USE_NUMBA", "backend",
     "__version__",
 ]

@@ -1,32 +1,13 @@
-"""Hot numeric kernels: JIT-compiled with numba, pure-numpy fallback.
+"""The two numeric kernels every observable is built from.
 
-The fallback is selected automatically when numba is missing, or forced by
-setting the environment variable GRAPHENE_REVIVALS_NO_NUMBA=1 before import.
-Both paths return identical results up to floating-point summation order;
-benchmarks/bench_kernels.py compares their speed.
+trig_series sums weighted cosines and sines over a time grid; hermite_sweep
+evaluates normalized Hermite-Gaussian functions by a stable recurrence.
+Both are plain numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    numba = None
-    HAS_NUMBA = False
-
-_ENV_FLAG = "GRAPHENE_REVIVALS_NO_NUMBA"
-USE_NUMBA = HAS_NUMBA and os.environ.get(_ENV_FLAG, "").lower() not in ("1", "true", "yes")
-
-
-def backend() -> str:
-    """Name of the active kernel backend: 'numba' or 'numpy'."""
-    return "numba" if USE_NUMBA else "numpy"
 
 
 # --- weighted trigonometric series -----------------------------------------
@@ -39,24 +20,15 @@ def backend() -> str:
 # overlaps, om = transition frequencies).
 
 
-def _trig_series_np(weights, omegas, times):
+def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray):
+    """(sum_j w_j cos(om_j t_k), sum_j w_j sin(om_j t_k)) over the time grid."""
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    omegas = np.ascontiguousarray(omegas, dtype=np.float64)
+    times = np.ascontiguousarray(times, dtype=np.float64)
+    if weights.shape != omegas.shape:
+        raise ValueError("weights and omegas must have the same length")
     phases = np.outer(times, omegas)
     return np.cos(phases) @ weights, np.sin(phases) @ weights
-
-
-def _trig_series_loop(weights, omegas, times):
-    cos_out = np.empty(times.size)
-    sin_out = np.empty(times.size)
-    for k in range(times.size):
-        acc_c = 0.0
-        acc_s = 0.0
-        for j in range(omegas.size):
-            arg = omegas[j] * times[k]
-            acc_c += weights[j] * np.cos(arg)
-            acc_s += weights[j] * np.sin(arg)
-        cos_out[k] = acc_c
-        sin_out[k] = acc_s
-    return cos_out, sin_out
 
 
 # --- normalized Hermite-Gaussian recurrence ---------------------------------
@@ -82,7 +54,11 @@ _RESCALE_STRIDE = 16  # growth per step stays far below 2^32; 16 steps are safe
 _LN2 = float(np.log(2.0))
 
 
-def _hermite_sweep_np(n, xi):
+def hermite_sweep(n: int, xi: np.ndarray):
+    """(h_{n-1}(xi), h_n(xi)) for the normalized Hermite-Gaussian functions."""
+    if n < 0:
+        raise ValueError(f"order must be non-negative, got {n}")
+    xi = np.ascontiguousarray(xi, dtype=np.float64)
     p_prev = np.zeros_like(xi)  # p_{-1} == 0
     p = np.full_like(xi, np.pi ** -0.25)  # p_0
     expo = np.zeros_like(xi)  # carried base-2 exponent
@@ -97,57 +73,3 @@ def _hermite_sweep_np(n, xi):
                 expo = np.where(big, expo + 500.0, expo)
     scale = np.exp(expo * _LN2 - 0.5 * xi * xi)
     return p_prev * scale, p * scale
-
-
-def _hermite_sweep_loop(n, xi):
-    size = xi.size
-    p_prev = np.zeros(size)
-    p = np.full(size, np.pi ** -0.25)
-    expo = np.zeros(size)
-    for m in range(1, n + 1):
-        a = np.sqrt(2.0 / m)
-        b = np.sqrt((m - 1.0) / m)
-        for i in range(size):
-            nxt = xi[i] * a * p[i] - b * p_prev[i]
-            p_prev[i] = p[i]
-            p[i] = nxt
-        if m % _RESCALE_STRIDE == 0:
-            for i in range(size):
-                if np.abs(p[i]) > _RESCALE_LIMIT:
-                    p[i] *= _RESCALE_FACTOR
-                    p_prev[i] *= _RESCALE_FACTOR
-                    expo[i] += 500.0
-    below = np.empty(size)
-    at = np.empty(size)
-    for i in range(size):
-        scale = np.exp(expo[i] * _LN2 - 0.5 * xi[i] * xi[i])
-        below[i] = p_prev[i] * scale
-        at[i] = p[i] * scale
-    return below, at
-
-
-if HAS_NUMBA:
-    _trig_series_nb = numba.njit(cache=True)(_trig_series_loop)
-    _hermite_sweep_nb = numba.njit(cache=True)(_hermite_sweep_loop)
-
-
-def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray):
-    """(sum_j w_j cos(om_j t_k), sum_j w_j sin(om_j t_k)) over the time grid."""
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    omegas = np.ascontiguousarray(omegas, dtype=np.float64)
-    times = np.ascontiguousarray(times, dtype=np.float64)
-    if weights.shape != omegas.shape:
-        raise ValueError("weights and omegas must have the same length")
-    if USE_NUMBA:
-        return _trig_series_nb(weights, omegas, times)
-    return _trig_series_np(weights, omegas, times)
-
-
-def hermite_sweep(n: int, xi: np.ndarray):
-    """(h_{n-1}(xi), h_n(xi)) for the normalized Hermite-Gaussian functions."""
-    if n < 0:
-        raise ValueError(f"order must be non-negative, got {n}")
-    xi = np.ascontiguousarray(xi, dtype=np.float64)
-    if USE_NUMBA:
-        return _hermite_sweep_nb(n, xi)
-    return _hermite_sweep_np(n, xi)

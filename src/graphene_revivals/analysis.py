@@ -22,9 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import E_CHARGE, HBAR, FieldParams
-from .observables import (ObservableSeries, TimeGrid, current_single_band,
-                          current_two_band)
+from .constants import E_CHARGE, FieldParams
+from .observables import ObservableSeries, TimeGrid, currents, damped
 from .spectrum import SpectrumModel, TimeScales, timescales
 from .wavepacket import PacketSpec, build_weights
 
@@ -265,28 +264,17 @@ def estimate_gamma_max(packet: PacketSpec, field: FieldParams,
         criterion = default_gamma_criterion
     model = SpectrumModel(field)
     scales = timescales(model, packet.n0)
-    table = build_weights(packet)
     grid = TimeGrid(0.0, 1.06 * scales.t_revival, n_samples)
-    if packet.bands == "both":
-        _, jy = current_two_band(table, model, grid)
-    else:
-        s = +1 if packet.bands == "positive" else -1
-        _, jy = current_single_band(table, model, grid, s)
-
-    def broadened(gamma: float) -> ObservableSeries:
-        env = np.exp(-2.0 * gamma * grid.times / HBAR)
-        return ObservableSeries(grid=grid, values=jy.values * env,
-                                kind=jy.kind, units=jy.units)
-
-    if not criterion(broadened(0.0), scales):
+    _, jy = currents(build_weights(packet), model, grid)
+    if not criterion(damped(jy, 0.0), scales):
         raise ValueError("revivals are not visible even at zero broadening; "
                          "the criterion cannot bound the width")
     lo, hi = 0.0, gamma_hi
-    if criterion(broadened(hi), scales):
+    if criterion(damped(jy, hi), scales):
         return hi  # visible across the whole bracket
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if criterion(broadened(mid), scales):
+        if criterion(damped(jy, mid), scales):
             lo = mid
         else:
             hi = mid

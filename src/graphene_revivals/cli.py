@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -27,8 +28,7 @@ import numpy as np
 
 from .analysis import detect_revivals, estimate_gamma_max
 from .constants import E_CHARGE, FieldParams, convert, magnetic_length
-from .observables import (BroadeningModel, TimeGrid, autocorrelation,
-                          current_single_band, current_two_band,
+from .observables import (TimeGrid, autocorrelation, currents, damped,
                           total_current_both_valleys)
 from .spectrum import SpectrumModel, timescales, zb_period_with_gap
 from .wavepacket import PacketSpec, build_weights
@@ -63,12 +63,10 @@ class RunConfig:
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.samples < 2:
             raise ValueError(f"samples must be >= 2, got {self.samples}")
-        if self.gamma_mev < 0.0:
-            raise ValueError(f"gamma_mev must be >= 0, got {self.gamma_mev}")
-        if self.gap_mev < 0.0:
-            raise ValueError(f"gap_mev must be >= 0, got {self.gap_mev}")
-        if self.t_end_fs < 0.0:
-            raise ValueError(f"t_end_fs must be >= 0, got {self.t_end_fs}")
+        for name in ("gamma_mev", "gap_mev", "t_end_fs"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.gamma_steps < 1:
             raise ValueError(f"gamma_steps must be >= 1, got {self.gamma_steps}")
 
@@ -79,9 +77,6 @@ class RunConfig:
 
     def packet_spec(self) -> PacketSpec:
         return PacketSpec(n0=self.n0, sigma=self.sigma, bands=_BANDS_FLAG[self.bands])
-
-    def broadening(self) -> BroadeningModel:
-        return BroadeningModel(gamma=convert(self.gamma_mev, "meV", "J"))
 
     def resolve_t_end_fs(self) -> float:
         if self.t_end_fs > 0.0:
@@ -231,22 +226,19 @@ def cmd_autocorr(cfg: RunConfig, out: str | None) -> None:
     _render(cfg, "autocorr", ["t_fs", "re_A", "im_A", "abs2_A"], rows, out=out)
 
 
-def _current_series(cfg: RunConfig):
-    model = SpectrumModel(cfg.field_params())
+def _undamped_currents(cfg: RunConfig):
     table = build_weights(cfg.packet_spec())
-    grid = cfg.time_grid()
-    if cfg.bands == "both":
-        jx, jy = current_two_band(table, model, grid, cfg.broadening())
-    else:
-        s = +1 if cfg.bands == "pos" else -1
-        jx, jy = current_single_band(table, model, grid, s, cfg.broadening())
-    if cfg.valleys == "both":
-        jx, jy = total_current_both_valleys(jx), total_current_both_valleys(jy)
-    return jx, jy
+    return currents(table, SpectrumModel(cfg.field_params()), cfg.time_grid())
+
+
+def _observed(cfg: RunConfig, series, gamma_mev: float):
+    """Broaden one valley's current by gamma_mev, then apply the valley choice."""
+    series = damped(series, convert(gamma_mev, "meV", "J"))
+    return total_current_both_valleys(series) if cfg.valleys == "both" else series
 
 
 def cmd_current(cfg: RunConfig, out: str | None) -> None:
-    jx, jy = _current_series(cfg)
+    jx, jy = (_observed(cfg, j, cfg.gamma_mev) for j in _undamped_currents(cfg))
     scale = E_CHARGE * cfg.v_f if cfg.si_current else 1.0
     t_fs = convert(jx.grid.times, "s", "fs")
     rows = [[t, scale * x, scale * y]
@@ -262,11 +254,10 @@ def cmd_gamma_scan(cfg: RunConfig, out: str | None) -> None:
     columns = ["gamma_mev"]
     for tag in ("quarter", "half", "three_quarter", "full"):
         columns += [f"{tag}_class", f"{tag}_peak"]
+    _, jy = _undamped_currents(cfg)
     rows = []
     for g in gammas:
-        run = replace(cfg, gamma_mev=float(g))
-        _, jy = _current_series(run)
-        report = detect_revivals(jy, scales)
+        report = detect_revivals(_observed(cfg, jy, float(g)), scales)
         row: list = [float(g)]
         for st in report.stations:
             row.append(st.classification)

@@ -23,8 +23,10 @@ class FieldParams:
 
     b_tesla : perpendicular magnetic field [T], must be > 0 (a vanishing
         field gives a continuous spectrum and no discrete-level dynamics).
-    v_fermi : Fermi velocity [m/s].
+    v_fermi : Fermi velocity [m/s], > 0.
     gap_energy : energy gap [J], >= 0; only affects the interband period.
+
+    All three must be finite; NaN and infinities raise ValueError.
     """
 
     b_tesla: float
@@ -32,12 +34,15 @@ class FieldParams:
     gap_energy: float = 0.0
 
     def __post_init__(self):
-        if not self.b_tesla > 0.0:
-            raise ValueError(f"magnetic field must be positive, got B = {self.b_tesla} T")
-        if not self.v_fermi > 0.0:
-            raise ValueError(f"Fermi velocity must be positive, got {self.v_fermi} m/s")
-        if self.gap_energy < 0.0:
-            raise ValueError(f"gap energy must be non-negative, got {self.gap_energy} J")
+        if not 0.0 < self.b_tesla < math.inf:
+            raise ValueError(
+                f"magnetic field must be positive and finite, got B = {self.b_tesla} T")
+        if not 0.0 < self.v_fermi < math.inf:
+            raise ValueError(
+                f"Fermi velocity must be positive and finite, got {self.v_fermi} m/s")
+        if not 0.0 <= self.gap_energy < math.inf:
+            raise ValueError(
+                f"gap energy must be non-negative and finite, got {self.gap_energy} J")
 
 
 def magnetic_length(params: FieldParams) -> float:

@@ -12,14 +12,15 @@ levels, with phases E*t/hbar:
 with j_x identically zero in the two-band case. Currents are reported in
 units of e*v_F. Level broadening with a level-independent width Gamma
 multiplies every current term by exp(-2*Gamma*t/hbar), which commutes with
-the sum and is applied as a global envelope; the per-term form is kept
-behind a flag. The current sums run over transitions n-1 -> n with n >= 1,
+the sum and is applied as a global envelope to the finished series
+(:func:`damped`). The current sums run over transitions n-1 -> n with n >= 1,
 while the n = 0 population does enter A(t).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,9 +41,9 @@ class TimeGrid:
     n_samples: int = 4096
 
     def __post_init__(self):
-        if self.t_start < 0.0 or self.t_end <= self.t_start:
+        if not 0.0 <= self.t_start < self.t_end < math.inf:
             raise ValueError(
-                f"need t_end > t_start >= 0, got [{self.t_start}, {self.t_end}]")
+                f"need finite t_end > t_start >= 0, got [{self.t_start}, {self.t_end}]")
         if self.n_samples < 2:
             raise ValueError(f"need at least 2 samples, got {self.n_samples}")
 
@@ -72,8 +73,9 @@ class BroadeningModel:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError(f"broadening must be non-negative, got {self.gamma} J")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(
+                f"broadening must be non-negative and finite, got {self.gamma} J")
 
 
 def _level_frequencies(table: WeightTable, model: SpectrumModel) -> np.ndarray:
@@ -114,51 +116,39 @@ def _transition_frequencies(table, model):
     return om[1:] - om[:-1], om[1:] + om[:-1]
 
 
-def _envelope(gamma: float, times: np.ndarray) -> np.ndarray:
-    return np.exp(-2.0 * gamma * times / HBAR)
+def damped(series: ObservableSeries, gamma: float) -> ObservableSeries:
+    """The series times the level-width envelope exp(-2*Gamma*t/hbar), Gamma [J]."""
+    env = np.exp(-2.0 * gamma * series.grid.times / HBAR)
+    return replace(series, values=series.values * env)
 
 
-def _per_term_current(weights, omegas, gamma, times, trig):
-    """Reference path: apply exp(-(Gamma_n + Gamma_{n-1}) t/hbar) inside the sum."""
-    out = np.zeros_like(times)
-    for w, om in zip(weights, omegas):
-        out += w * trig(om * times) * np.exp(-2.0 * gamma * times / HBAR)
-    return out
-
-
-def _single_band_values(table, model, times, s, gamma=0.0, per_term=False):
+def _single_band_values(table, model, times, s):
     d_om, _ = _transition_frequencies(table, model)
-    if per_term:
-        jx = s * _per_term_current(table.offdiag, d_om, gamma, times, np.cos)
-        jy = _per_term_current(table.offdiag, d_om, gamma, times, np.sin)
-        return jx, jy
     cos_part, sin_part = trig_series(table.offdiag, d_om, times)
-    env = _envelope(gamma, times)
-    return s * cos_part * env, sin_part * env
+    return s * cos_part, sin_part
 
 
-def _two_band_values(table, model, times, gamma=0.0, per_term=False):
+def _two_band_values(table, model, times):
     d_om, s_om = _transition_frequencies(table, model)
-    if per_term:
-        jy = (_per_term_current(table.offdiag, s_om, gamma, times, np.sin)
-              + _per_term_current(table.offdiag, d_om, gamma, times, np.sin))
-    else:
-        _, sin_fast = trig_series(table.offdiag, s_om, times)
-        _, sin_slow = trig_series(table.offdiag, d_om, times)
-        jy = (sin_fast + sin_slow) * _envelope(gamma, times)
-    return np.zeros_like(times), jy
+    _, sin_fast = trig_series(table.offdiag, s_om, times)
+    _, sin_slow = trig_series(table.offdiag, d_om, times)
+    return np.zeros_like(times), sin_fast + sin_slow
+
+
+def _current_pair(grid, jx, jy, broadening):
+    pair = (ObservableSeries(grid=grid, values=jx, kind="jx", units=CURRENT_UNITS),
+            ObservableSeries(grid=grid, values=jy, kind="jy", units=CURRENT_UNITS))
+    if broadening is None:
+        return pair
+    return tuple(damped(j, broadening.gamma) for j in pair)
 
 
 def current_single_band(table: WeightTable, model: SpectrumModel, grid: TimeGrid,
                         s: int, broadening: BroadeningModel | None = None,
-                        per_term_envelope: bool = False,
                         ) -> tuple[ObservableSeries, ObservableSeries]:
     """Cyclotron currents (j_x, j_y) of a one-band packet, in units of e*v_F.
 
-    The table must have been built with the matching single band. With a
-    level-independent width the broadening envelope factors out of the sum;
-    per_term_envelope=True keeps the per-term form instead (same result,
-    kept for future level-dependent widths).
+    The table must have been built with the matching single band.
     """
     if s not in (+1, -1):
         raise ValueError(f"band index s must be +1 or -1, got {s}")
@@ -166,16 +156,12 @@ def current_single_band(table: WeightTable, model: SpectrumModel, grid: TimeGrid
     if table.band_content != expected:
         raise ValueError(
             f"table holds {table.band_content!r} band content, need {expected!r}")
-    gamma = 0.0 if broadening is None else broadening.gamma
-    jx, jy = _single_band_values(table, model, grid.times, s, gamma,
-                                 per_term_envelope)
-    return (ObservableSeries(grid=grid, values=jx, kind="jx", units=CURRENT_UNITS),
-            ObservableSeries(grid=grid, values=jy, kind="jy", units=CURRENT_UNITS))
+    jx, jy = _single_band_values(table, model, grid.times, s)
+    return _current_pair(grid, jx, jy, broadening)
 
 
 def current_two_band(table: WeightTable, model: SpectrumModel, grid: TimeGrid,
                      broadening: BroadeningModel | None = None,
-                     per_term_envelope: bool = False,
                      ) -> tuple[ObservableSeries, ObservableSeries]:
     """Currents of an equal-weight two-band packet, in units of e*v_F.
 
@@ -187,10 +173,17 @@ def current_two_band(table: WeightTable, model: SpectrumModel, grid: TimeGrid,
     if table.band_content != "both":
         raise ValueError(
             f"table holds {table.band_content!r} band content, need 'both'")
-    gamma = 0.0 if broadening is None else broadening.gamma
-    jx, jy = _two_band_values(table, model, grid.times, gamma, per_term_envelope)
-    return (ObservableSeries(grid=grid, values=jx, kind="jx", units=CURRENT_UNITS),
-            ObservableSeries(grid=grid, values=jy, kind="jy", units=CURRENT_UNITS))
+    jx, jy = _two_band_values(table, model, grid.times)
+    return _current_pair(grid, jx, jy, broadening)
+
+
+def currents(table: WeightTable, model: SpectrumModel, grid: TimeGrid,
+             ) -> tuple[ObservableSeries, ObservableSeries]:
+    """Unbroadened (j_x, j_y) for whichever band content the table holds."""
+    if table.band_content == "both":
+        return current_two_band(table, model, grid)
+    s = +1 if table.band_content == "positive" else -1
+    return current_single_band(table, model, grid, s)
 
 
 def total_current_both_valleys(per_valley: ObservableSeries) -> ObservableSeries:

@@ -37,8 +37,8 @@ class PacketSpec:
     def __post_init__(self):
         if self.n0 < 1:
             raise ValueError(f"central level n0 must be >= 1, got {self.n0}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.bands not in BANDS:
             raise ValueError(f"bands must be one of {BANDS}, got {self.bands!r}")
         if not 0.0 < self.tail_tolerance < 1.0:

@@ -68,3 +68,16 @@ def brute_force_currents(offdiag, energies_j, hbar, t: float, s: int):
         jx += s * u * math.cos(de * t)
         jy += u * math.sin(de * t)
     return jx, jy
+
+
+def damped_direct_sum(weights, omegas, gamma, hbar, times, trig):
+    """sum_j w_j trig(om_j t) exp(-2 gamma t / hbar), one level at a time.
+
+    The broadening envelope is applied inside every term, the form that
+    level-dependent widths would need; the library applies it once to the
+    finished sum.
+    """
+    out = np.zeros_like(times)
+    for w, om in zip(weights, omegas):
+        out += w * trig(om * times) * np.exp(-2.0 * gamma * times / hbar)
+    return out

@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
-from graphene_revivals import FieldParams, SpectrumModel, convert, timescales
+from graphene_revivals import (BroadeningModel, FieldParams, PacketSpec,
+                               SpectrumModel, TimeGrid, convert, observables,
+                               timescales)
 from graphene_revivals.cli import (RunConfig, config_from_output, main,
                                    parse_config_lines)
 
@@ -211,3 +214,63 @@ def test_run_config_validation():
         RunConfig(format="xml")
     with pytest.raises(ValueError):
         RunConfig(samples=1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("current", "--gamma-mev", "nan"),
+    ("current", "--t-end-fs", "nan"),
+    ("current", "--gap-mev", "nan"),
+    ("gamma-scan", "--gamma-mev", "nan"),
+    ("autocorr", "--sigma", "inf"),
+    ("autocorr", "--B", "inf"),
+])
+def test_non_finite_flag_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FieldParams(math.inf),
+    lambda: FieldParams(10.0, v_fermi=math.nan),
+    lambda: FieldParams(10.0, gap_energy=math.nan),
+    lambda: PacketSpec(15, math.inf),
+    lambda: PacketSpec(15, math.nan),
+    lambda: TimeGrid(0.0, math.nan),
+    lambda: TimeGrid(0.0, math.inf),
+    lambda: TimeGrid(math.nan, 1.0),
+    lambda: BroadeningModel(math.nan),
+    lambda: BroadeningModel(math.inf),
+    lambda: RunConfig(gamma_mev=math.nan),
+    lambda: RunConfig(gap_mev=math.inf),
+    lambda: RunConfig(t_end_fs=math.nan),
+])
+def test_non_finite_constructor_raises(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("bands, per_series", [("pos", 1), ("both", 2)])
+def test_gamma_scan_kernel_calls_independent_of_steps(tmp_path, monkeypatch,
+                                                      bands, per_series):
+    # broadening is a global envelope: one undamped series serves every width
+    calls = []
+    kernel = observables.trig_series
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(observables, "trig_series", counting)
+    counts = {}
+    for steps in (2, 6):
+        cfg = tmp_path / f"steps{steps}.cfg"
+        cfg.write_text(f"gamma_steps = {steps}\n")
+        calls.clear()
+        assert run_cli("gamma-scan", "--config", str(cfg), "--gamma-mev", "4",
+                       "--bands", bands, "--out", str(tmp_path / "g.csv")) == 0
+        counts[steps] = len(calls)
+    assert counts[2] == counts[6]
+    # one series for the scan, one inside estimate_gamma_max
+    assert counts[6] <= 2 * per_series

@@ -1,17 +1,7 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from graphene_revivals import _kernels
-
-
-def test_backend_reports_active_path():
-    assert _kernels.backend() in ("numba", "numpy")
-    if _kernels.USE_NUMBA:
-        assert _kernels.backend() == "numba"
 
 
 def test_trig_series_shape_validation():
@@ -22,54 +12,3 @@ def test_trig_series_shape_validation():
 def test_hermite_sweep_rejects_negative_order():
     with pytest.raises(ValueError):
         _kernels.hermite_sweep(-1, np.zeros(3))
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_trig_series_backends_agree():
-    rng = np.random.default_rng(11)
-    w = rng.random(40)
-    om = 1e14 * rng.random(40)
-    t = np.sort(rng.uniform(0.0, 2e-11, 3000))
-    c_np, s_np = _kernels._trig_series_np(w, om, t)
-    c_nb, s_nb = _kernels._trig_series_nb(w, om, t)
-    assert c_nb == pytest.approx(c_np, rel=1e-13, abs=1e-13)
-    assert s_nb == pytest.approx(s_np, rel=1e-13, abs=1e-13)
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_hermite_backends_agree():
-    xi = np.linspace(-30.0, 30.0, 501)
-    for n in (0, 1, 17, 500):
-        below_np, at_np = _kernels._hermite_sweep_np(n, xi)
-        below_nb, at_nb = _kernels._hermite_sweep_nb(n, xi)
-        assert at_nb == pytest.approx(at_np, rel=1e-12, abs=1e-14)
-        assert below_nb == pytest.approx(below_np, rel=1e-12, abs=1e-14)
-
-
-def test_env_flag_selects_numpy_fallback():
-    env = dict(os.environ, GRAPHENE_REVIVALS_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import graphene_revivals as gr; print(gr.backend())"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-def test_fallback_produces_same_observables():
-    # full pipeline result must not depend on the backend
-    code = (
-        "import numpy as np\n"
-        "import graphene_revivals as gr\n"
-        "m = gr.SpectrumModel(gr.FieldParams(10.0))\n"
-        "t = gr.build_weights(gr.PacketSpec(15, 3.0))\n"
-        "g = gr.TimeGrid(0.0, 2e-12, 512)\n"
-        "a = gr.autocorrelation(t, m, g)\n"
-        "print(repr(float(np.abs(a.values).sum())))\n"
-    )
-    runs = {}
-    for flag in ("0", "1"):
-        env = dict(os.environ, GRAPHENE_REVIVALS_NO_NUMBA=flag)
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, env=env, check=True)
-        runs[flag] = float(out.stdout.strip())
-    assert runs["0"] == pytest.approx(runs["1"], rel=1e-12)

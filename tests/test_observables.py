@@ -7,14 +7,14 @@ from graphene_revivals import (HBAR, BroadeningModel, PacketSpec,
                                TimeGrid, abs_squared,
                                autocorrelation, build_weights,
                                current_single_band, current_two_band,
-                               landau_energy, timescales,
+                               currents, landau_energy, timescales,
                                total_current_both_valleys)
 from graphene_revivals.observables import (_autocorr_values,
                                            _single_band_values,
                                            _two_band_values)
 from graphene_revivals.wavepacket import WeightTable
 
-from oracles import brute_force_autocorr, brute_force_currents
+from oracles import brute_force_autocorr, brute_force_currents, damped_direct_sum
 
 
 @pytest.fixture(scope="module")
@@ -151,23 +151,44 @@ def test_broadening_factorizes(table15, model10):
     assert broad_y.values == pytest.approx(plain_y.values * env, rel=1e-12, abs=1e-300)
 
 
+def _transition_frequencies(table, model):
+    om = model.omega * np.sqrt(table.levels.astype(np.float64))
+    return om[1:] - om[:-1], om[1:] + om[:-1]
+
+
 def test_per_term_envelope_equivalent(table15, model10):
     grid = TimeGrid(0.0, 2e-12, 257)
     gamma = BroadeningModel(2e-3 * 1.602176634e-19)
-    a = current_single_band(table15, model10, grid, +1, gamma)
-    b = current_single_band(table15, model10, grid, +1, gamma,
-                            per_term_envelope=True)
-    for lhs, rhs in zip(a, b):
-        assert lhs.values == pytest.approx(rhs.values, rel=1e-12, abs=1e-16)
+    jx, jy = current_single_band(table15, model10, grid, +1, gamma)
+    d_om, _ = _transition_frequencies(table15, model10)
+    for series, trig in ((jx, np.cos), (jy, np.sin)):
+        direct = damped_direct_sum(table15.offdiag, d_om, gamma.gamma, HBAR,
+                                   grid.times, trig)
+        assert series.values == pytest.approx(direct, rel=1e-12, abs=1e-16)
 
 
 def test_per_term_envelope_equivalent_two_band(table15_both, model10):
     grid = TimeGrid(0.0, 2e-13, 257)
     gamma = BroadeningModel(2e-3 * 1.602176634e-19)
-    a = current_two_band(table15_both, model10, grid, gamma)
-    b = current_two_band(table15_both, model10, grid, gamma,
-                         per_term_envelope=True)
-    assert a[1].values == pytest.approx(b[1].values, rel=1e-12, abs=1e-16)
+    _, jy = current_two_band(table15_both, model10, grid, gamma)
+    d_om, s_om = _transition_frequencies(table15_both, model10)
+    direct = (damped_direct_sum(table15_both.offdiag, s_om, gamma.gamma, HBAR,
+                                grid.times, np.sin)
+              + damped_direct_sum(table15_both.offdiag, d_om, gamma.gamma, HBAR,
+                                  grid.times, np.sin))
+    assert jy.values == pytest.approx(direct, rel=1e-12, abs=1e-16)
+
+
+def test_currents_dispatch_on_band_content(model10):
+    grid = TimeGrid(0.0, 1e-12, 129)
+    for bands, direct in (
+            ("positive", lambda t: current_single_band(t, model10, grid, +1)),
+            ("negative", lambda t: current_single_band(t, model10, grid, -1)),
+            ("both", lambda t: current_two_band(t, model10, grid))):
+        table = build_weights(PacketSpec(15, 3.0, bands=bands))
+        for got, want in zip(currents(table, model10, grid), direct(table)):
+            assert np.array_equal(got.values, want.values)
+            assert (got.kind, got.units) == (want.kind, want.units)
 
 
 def test_two_band_jx_identically_zero(table15_both, model10):
