@@ -82,42 +82,41 @@ def find_peaks(series: ObservableSeries, min_prominence: float) -> list[Peak]:
     A sample is a peak when it exceeds both neighbours; on a flat plateau
     the leftmost sample wins. The prominence of a peak is its height above
     the higher of the two valley floors separating it from higher ground
-    (or the series ends). Output is ordered by time.
+    (or the series ends). Output is ordered by time. O(N) time and memory:
+    one monotone-stack sweep each way over the turning points.
     """
     v = _require_real(series)
     if v.size < 3:
         raise ValueError(f"need at least 3 samples to find peaks, got {v.size}")
+    if not np.isfinite(v).all():
+        raise ValueError("peak analysis needs finite values")
+    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    rising = v[starts[1:]] > v[starts[:-1]]
+    turns = np.flatnonzero(rising[:-1] != rising[1:]) + 1
+    # every valley floor is a turning point or an end of the series
+    kept = starts[np.concatenate(([0], turns, [starts.size - 1]))]
+    heights = v[kept].tolist()
+    left, right = _floors(heights), _floors(heights[::-1])[::-1]
     times = series.grid.times
-    peaks: list[Peak] = []
-    i = 1
-    while i < v.size - 1:
-        if v[i] > v[i - 1]:
-            j = i
-            while j + 1 < v.size and v[j + 1] == v[j]:
-                j += 1
-            if j < v.size - 1 and v[j + 1] < v[j]:
-                prom = _prominence(v, i)
-                if prom >= min_prominence:
-                    peaks.append(Peak(time=float(times[i]), value=float(v[i]),
-                                      prominence=prom))
-            i = j + 1
-        else:
-            i += 1
+    peaks = []
+    for k in (np.flatnonzero(rising[turns - 1]) + 1).tolist():
+        prom = heights[k] - max(left[k], right[k])
+        if prom >= min_prominence:
+            peaks.append(Peak(time=float(times[kept[k]]), value=heights[k],
+                              prominence=prom))
     return peaks
 
 
-def _prominence(v: np.ndarray, p: int) -> float:
-    left_min = v[p]
-    i = p - 1
-    while i >= 0 and v[i] <= v[p]:
-        left_min = min(left_min, v[i])
-        i -= 1
-    right_min = v[p]
-    i = p + 1
-    while i < v.size and v[i] <= v[p]:
-        right_min = min(right_min, v[i])
-        i += 1
-    return float(v[p] - max(left_min, right_min))
+def _floors(heights: list[float]) -> list[float]:
+    """Per point, the lowest height back to the previous strictly higher one."""
+    floors, stack = [], []  # stack: (height, lowest since the entry below)
+    for h in heights:
+        low = h
+        while stack and stack[-1][0] <= h:
+            low = min(low, stack.pop()[1])
+        stack.append((h, low))
+        floors.append(low)
+    return floors
 
 
 def _reference_value(v: np.ndarray) -> float:

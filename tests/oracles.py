@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from graphene_revivals import Peak
+
 # Physicists' Hermite polynomial coefficients, ascending powers, H_0..H_12.
 HERMITE_COEFFS = [
     [1],
@@ -81,3 +83,43 @@ def damped_direct_sum(weights, omegas, gamma, hbar, times, trig):
     for w, om in zip(weights, omegas):
         out += w * trig(om * times) * np.exp(-2.0 * gamma * times / hbar)
     return out
+
+
+def peaks_by_walk(values, times, min_prominence: float):
+    """Peaks and prominences by the definition, one walk per candidate.
+
+    A sample is a peak when it exceeds both neighbours, with the leftmost
+    sample of a flat plateau standing for it; each prominence walks out to
+    the nearest strictly higher sample on each side. O(N) per candidate.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    peaks = []
+    i = 1
+    while i < v.size - 1:
+        if v[i] > v[i - 1]:
+            j = i
+            while j + 1 < v.size and v[j + 1] == v[j]:
+                j += 1
+            if j < v.size - 1 and v[j + 1] < v[j]:
+                prom = _prominence_by_walk(v, i)
+                if prom >= min_prominence:
+                    peaks.append(Peak(time=float(times[i]), value=float(v[i]),
+                                      prominence=prom))
+            i = j + 1
+        else:
+            i += 1
+    return peaks
+
+
+def _prominence_by_walk(v, p: int) -> float:
+    left_min = v[p]
+    i = p - 1
+    while i >= 0 and v[i] <= v[p]:
+        left_min = min(left_min, v[i])
+        i -= 1
+    right_min = v[p]
+    i = p + 1
+    while i < v.size and v[i] <= v[p]:
+        right_min = min(right_min, v[i])
+        i += 1
+    return float(v[p] - max(left_min, right_min))

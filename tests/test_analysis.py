@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
 from graphene_revivals import (HBAR, ObservableSeries, PacketSpec,
@@ -11,6 +13,8 @@ from graphene_revivals import (HBAR, ObservableSeries, PacketSpec,
                                default_gamma_criterion, detect_revivals,
                                dominant_period, estimate_gamma_max, find_peaks,
                                measure_period, station_visible_log, timescales)
+from graphene_revivals.observables import currents
+from oracles import peaks_by_walk
 
 MEV = 1.602176634e-22
 
@@ -75,6 +79,74 @@ def test_find_peaks_against_scipy_oracle():
         i = int(round(p.time))
         assert v[i] > v[i - 1] and v[i] > v[i + 1]
     assert [p.time for p in mine] == sorted(p.time for p in mine)
+
+
+def assert_matches_walk(values, min_prominence=0.0):
+    """find_peaks equals the definition oracle: same Peaks, same float bits."""
+    series = series_of(values, t_end=float(max(len(values) - 1, 1)))
+    mine = find_peaks(series, min_prominence)
+    ref = peaks_by_walk(series.values, series.grid.times, min_prominence)
+    assert mine == ref
+    bits = [(p.time.hex(), p.value.hex(), p.prominence.hex()) for p in mine]
+    assert bits == [(p.time.hex(), p.value.hex(), p.prominence.hex()) for p in ref]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("min_prominence", [0.0, 1.0])
+def test_find_peaks_equals_walk_on_normal_series(seed, min_prominence):
+    v = np.random.default_rng(seed).normal(size=4001)
+    assert_matches_walk(v, min_prominence)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_find_peaks_equals_walk_on_quantised_series(seed):
+    # a few integer levels give many plateaus, including at the ends
+    rng = np.random.default_rng(100 + seed)
+    v = np.round(2.0 * rng.normal(size=2000))
+    for min_prominence in (0.0, 1.0, 3.0):
+        assert_matches_walk(v, min_prominence)
+
+
+@pytest.mark.parametrize("values", [
+    [2, 2, 2, 1, 3, 3, 0, 1, 1, 1],   # plateaus at both ends, plateau peak
+    [3, 3, 1, 2, 2, 0, 0],            # higher plateau at the left end
+    [0, 0, 1, 1, 0, 2, 2],            # higher plateau at the right end
+    [0, 2, 1, 2, 0],                  # equal heights do not stop the walk
+    [0, 2, 2, 1, 2, 2, 0, 5, 0],
+    list(range(50)),                  # monotone rising
+    list(range(50, 0, -1)),           # monotone falling
+    [1.5] * 40,                       # constant
+    [0, 1, 0], [1, 0, 1], [0, 0, 0], [0, 1, 1], [1, 1, 0], [-0.0, 0.0, -0.0],
+])
+def test_find_peaks_equals_walk_on_edge_cases(values):
+    assert_matches_walk(np.asarray(values, dtype=float))
+
+
+def test_find_peaks_equals_walk_on_two_band_current(model10):
+    ts = timescales(model10, 15)
+    table = build_weights(PacketSpec(15, 3.0, "both"))
+    _, jy = currents(table, model10, TimeGrid(0.0, 1.1 * ts.t_revival, 4096))
+    assert len(find_peaks(jy, 0.0)) > 200
+    for min_prominence in (0.0, 0.05, 0.4):
+        assert_matches_walk(jy.values, min_prominence)
+
+
+_small_ints = st.integers(-3, 3).map(float)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.one_of(st.lists(_small_ints, min_size=3, max_size=60),
+                        st.lists(_finite, min_size=3, max_size=60)),
+       min_prominence=st.floats(0.0, 4.0))
+def test_find_peaks_equals_walk_property(values, min_prominence):
+    assert_matches_walk(np.asarray(values), min_prominence)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_find_peaks_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        find_peaks(series_of([0.0, 1.0, bad, 0.0]), 0.0)
 
 
 def test_min_prominence_filters():
