@@ -18,6 +18,10 @@ import numpy as np
 # One kernel serves every observable: autocorrelation (weights = level
 # populations, om = E_n/hbar), currents (weights = first off-diagonal
 # overlaps, om = transition frequencies).
+#
+# The sums over j are einsum contractions, not matrix products: a BLAS
+# gemv splits the sum by thread, so its last bits would depend on the BLAS
+# thread count, and outputs must repeat byte for byte on any machine.
 
 
 def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray):
@@ -28,7 +32,8 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray):
     if weights.shape != omegas.shape:
         raise ValueError("weights and omegas must have the same length")
     phases = np.outer(times, omegas)
-    return np.cos(phases) @ weights, np.sin(phases) @ weights
+    return (np.einsum("ij,j->i", np.cos(phases), weights),
+            np.einsum("ij,j->i", np.sin(phases), weights))
 
 
 # --- normalized Hermite-Gaussian recurrence ---------------------------------

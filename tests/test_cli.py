@@ -1,7 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import graphene_revivals
 
 from graphene_revivals import (BroadeningModel, FieldParams, PacketSpec,
                                SpectrumModel, TimeGrid, convert, observables,
@@ -88,6 +94,23 @@ def test_repeated_runs_byte_identical(tmp_path):
     assert run_cli(*args, "--out", str(f1)) == 0
     assert run_cli(*args, "--out", str(f2)) == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_output_independent_of_blas_threads(tmp_path):
+    # at 40001 samples a BLAS matrix-vector product splits the level sum by
+    # thread; the kernel's contraction must not
+    src = str(Path(graphene_revivals.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"a{threads}.csv"
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(path))
+        subprocess.run([sys.executable, "-m", "graphene_revivals.cli", "autocorr",
+                        "--samples", "40001", "--out", str(out)],
+                       env=env, check=True, timeout=120)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_current_two_band_jx_zero(tmp_path):
