@@ -24,13 +24,38 @@ import numpy as np
 # thread count, and outputs must repeat byte for byte on any machine.
 
 
+PHASE_ROUNDING_LIMIT = 1e-3  # rad
+
+
+def phase_rounding(max_omega: float, max_time: float) -> float:
+    """Rounding bound eps * max|om| * max|t| of the largest phase [rad].
+
+    A phase om*t is rounded to a double before cos/sin see it, which moves
+    it by up to this much, so each term, and the series relative to the
+    weight sum, can be off by as much. Past PHASE_ROUNDING_LIMIT (1e-3 rad,
+    i.e. wrong in the third digit) this raises ValueError.
+    """
+    bound = float(np.finfo(np.float64).eps) * float(max_omega) * float(max_time)
+    if not bound <= PHASE_ROUNDING_LIMIT:
+        raise ValueError(
+            f"phases up to {float(max_omega) * float(max_time):.3e} rad round by up "
+            f"to {bound:.3e} rad, past the {PHASE_ROUNDING_LIMIT} rad limit; "
+            f"shorten the time grid")
+    return bound
+
+
 def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray):
-    """(sum_j w_j cos(om_j t_k), sum_j w_j sin(om_j t_k)) over the time grid."""
+    """(sum_j w_j cos(om_j t_k), sum_j w_j sin(om_j t_k)) over the time grid.
+
+    Raises ValueError when the largest phase is too large to carry correct
+    digits (see :func:`phase_rounding`).
+    """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     omegas = np.ascontiguousarray(omegas, dtype=np.float64)
     times = np.ascontiguousarray(times, dtype=np.float64)
     if weights.shape != omegas.shape:
         raise ValueError("weights and omegas must have the same length")
+    phase_rounding(np.abs(omegas).max(initial=0.0), np.abs(times).max(initial=0.0))
     phases = np.outer(times, omegas)
     return (np.einsum("ij,j->i", np.cos(phases), weights),
             np.einsum("ij,j->i", np.sin(phases), weights))

@@ -12,7 +12,9 @@ T_r/4, T_r/2, 3T_r/4 and T_r. A station is classified
 The reference value is the series' initial value when it is nonzero
 (|A(0)|^2 = 1 for autocorrelation strength) and the series maximum
 otherwise (currents start at zero), so classifications are invariant under
-rescaling the series by a positive constant.
+rescaling the series by a positive constant. An identically zero series
+(a width so large that the envelope underflows) has no peaks, so every
+station is absent.
 """
 
 from __future__ import annotations
@@ -121,11 +123,7 @@ def _floors(heights: list[float]) -> list[float]:
 
 def _reference_value(v: np.ndarray) -> float:
     ref = abs(float(v[0]))
-    if ref == 0.0:
-        ref = float(np.max(np.abs(v)))
-    if ref == 0.0:
-        raise ValueError("series is identically zero; nothing to classify")
-    return ref
+    return ref if ref != 0.0 else float(np.max(np.abs(v)))
 
 
 def detect_revivals(series: ObservableSeries, scales: TimeScales,

@@ -28,8 +28,9 @@ import numpy as np
 
 from .analysis import detect_revivals, estimate_gamma_max
 from .constants import E_CHARGE, FieldParams, convert, magnetic_length
+from ._kernels import phase_rounding
 from .observables import (TimeGrid, autocorrelation, currents, damped,
-                          total_current_both_valleys)
+                          max_frequency, total_current_both_valleys)
 from .spectrum import SpectrumModel, timescales, zb_period_with_gap
 from .wavepacket import PacketSpec, build_weights
 
@@ -328,8 +329,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        cfg.field_params()
-        cfg.packet_spec()
+        model = SpectrumModel(cfg.field_params())
+        t_end = convert(cfg.resolve_t_end_fs(), "fs", "s")
+        phase_rounding(max_frequency(cfg.packet_spec(), model), t_end)
     except (ValueError, OSError) as err:
         print(f"graphene-revivals: config error: {err}", file=sys.stderr)
         return 1

@@ -27,7 +27,7 @@ import numpy as np
 from ._kernels import trig_series
 from .constants import HBAR
 from .spectrum import SpectrumModel
-from .wavepacket import WeightTable
+from .wavepacket import PacketSpec, WeightTable, truncation_range
 
 CURRENT_UNITS = "e*v_F"
 
@@ -108,6 +108,16 @@ def autocorrelation(table: WeightTable, model: SpectrumModel, grid: TimeGrid,
         values = values * np.exp(-broadening.gamma * times / HBAR)
     return ObservableSeries(grid=grid, values=values, kind="autocorrelation",
                             units="dimensionless")
+
+
+def max_frequency(spec: PacketSpec, model: SpectrumModel) -> float:
+    """Upper bound of |om| over every series term of this packet [rad/s].
+
+    E_{n_max}/hbar bounds the level and intraband transition frequencies;
+    the two-band sum frequencies (E_n + E_{n-1})/hbar stay below twice it.
+    """
+    _, n_max = truncation_range(spec)
+    return (2.0 if spec.bands == "both" else 1.0) * model.omega * math.sqrt(n_max)
 
 
 def _transition_frequencies(table, model):

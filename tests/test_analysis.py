@@ -174,6 +174,15 @@ def test_synthetic_two_frequency_full_revival():
     assert report.classification(0.5) == "absent"
 
 
+def test_zero_series_has_only_absent_stations():
+    period = 1.0e-12
+    scales = TimeScales(t_classical=period / 4, t_revival=period,
+                        t_zitterbewegung=period / 16)
+    report = detect_revivals(series_of(np.zeros(1001), t_end=1.5 * period), scales)
+    assert [st.classification for st in report.stations] == ["absent"] * 4
+    assert all(st.peak is None for st in report.stations)
+
+
 def test_revival_stations_for_localized_packet(revival_series):
     series, ts = revival_series
     report = detect_revivals(series, ts)

@@ -254,6 +254,29 @@ def test_non_finite_flag_is_config_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_phase_precision_is_config_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_cli("current", "--t-end-fs", "1e300", "--samples", "4",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "limit" in err
+    assert not out.exists()
+
+
+def test_gamma_scan_underflowed_rows_are_absent(tmp_path):
+    # at this width the envelope is exactly zero for every t > 0
+    ref, out = tmp_path / "g0.csv", tmp_path / "g.csv"
+    assert run_cli("gamma-scan", "--out", str(ref)) == 0
+    assert run_cli("gamma-scan", "--gamma-mev", "1e300", "--out", str(out)) == 0
+    _, _, ref_rows, ref_trailer = read_csv(ref)
+    _, _, rows, trailer = read_csv(out)
+    assert len(rows) == 6
+    assert rows[0] == ref_rows[0]
+    assert trailer == ref_trailer
+    for row in rows[1:]:
+        assert row[1:] == ["absent", ""] * 4
+
+
 @pytest.mark.parametrize("make", [
     lambda: FieldParams(math.inf),
     lambda: FieldParams(10.0, v_fermi=math.nan),

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from graphene_revivals import (HBAR, BroadeningModel, PacketSpec,
-                               TimeGrid, abs_squared,
+from graphene_revivals import (HBAR, BroadeningModel, FieldParams, PacketSpec,
+                               SpectrumModel, TimeGrid, abs_squared,
                                autocorrelation, build_weights,
                                current_single_band, current_two_band,
                                currents, landau_energy, timescales,
                                total_current_both_valleys)
+from graphene_revivals._kernels import phase_rounding
 from graphene_revivals.observables import (_autocorr_values,
                                            _single_band_values,
-                                           _two_band_values)
+                                           _two_band_values, max_frequency)
 from graphene_revivals.wavepacket import WeightTable
 
 from oracles import brute_force_autocorr, brute_force_currents, damped_direct_sum
@@ -274,3 +275,28 @@ def test_two_band_slow_component_matches_single_band(model10):
     _, jy_single = _single_band_values(single, model10, times, +1)
     d_om_contrib = _single_band_values(both, model10, times, +1)[1]
     assert d_om_contrib == pytest.approx(jy_single / 2, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("bands", ["positive", "negative", "both"])
+def test_max_frequency_bounds_every_term(model10, bands):
+    spec = PacketSpec(15, 3.0, bands=bands)
+    om = model10.omega * np.sqrt(build_weights(spec).levels.astype(float))
+    used = [om, om[1:] - om[:-1]] + ([om[1:] + om[:-1]] if bands == "both" else [])
+    top = np.concatenate(used).max()
+    assert top <= max_frequency(spec, model10) < 2.0 * top
+
+
+def test_imprecise_phases_refused_before_evaluation(model10, table15):
+    with pytest.raises(ValueError, match="limit"):
+        autocorrelation(table15, model10, TimeGrid(0.0, 1e300, 4))
+    with pytest.raises(ValueError, match="limit"):
+        currents(table15, model10, TimeGrid(0.0, 1e300, 4))
+
+
+def test_widest_perfbench_case_far_below_phase_limit():
+    # perfbench's wide-band workload: two bands, n0 up to 2050, sigma 400,
+    # B up to 15 T, grid to 1.1 T_r; its phases reach ~2e8 rad
+    model = SpectrumModel(FieldParams(15.0))
+    spec = PacketSpec(2050, 400.0, bands="both")
+    t_end = 1.1 * timescales(model, 2050).t_revival
+    assert phase_rounding(max_frequency(spec, model), t_end) < 1e-6
