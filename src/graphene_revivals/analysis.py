@@ -100,7 +100,7 @@ def find_peaks(series: ObservableSeries, min_prominence: float) -> list[Peak]:
     heights = v[kept].tolist()
     left, right = _floors(heights), _floors(heights[::-1])[::-1]
     times = series.grid.times
-    peaks = []
+    peaks: list[Peak] = []
     for k in (np.flatnonzero(rising[turns - 1]) + 1).tolist():
         prom = heights[k] - max(left[k], right[k])
         if prom >= min_prominence:

@@ -26,9 +26,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from ._kernels import phase_rounding
 from .analysis import detect_revivals, estimate_gamma_max
 from .constants import E_CHARGE, FieldParams, convert, magnetic_length
-from ._kernels import phase_rounding
 from .observables import (TimeGrid, autocorrelation, currents, damped,
                           max_frequency, total_current_both_valleys)
 from .spectrum import SpectrumModel, timescales, zb_period_with_gap
