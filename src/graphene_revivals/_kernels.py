@@ -35,12 +35,12 @@ def phase_rounding(max_omega: float, max_time: float) -> float:
     weight sum, can be off by as much. Past PHASE_ROUNDING_LIMIT (1e-3 rad,
     i.e. wrong in the third digit) this raises ValueError.
     """
-    bound = float(np.finfo(np.float64).eps) * float(max_omega) * float(max_time)
+    phase = float(max_omega) * float(max_time)
+    bound = float(np.finfo(np.float64).eps) * phase
     if not bound <= PHASE_ROUNDING_LIMIT:
         raise ValueError(
-            f"phases up to {float(max_omega) * float(max_time):.3e} rad round by up "
-            f"to {bound:.3e} rad, past the {PHASE_ROUNDING_LIMIT} rad limit; "
-            f"shorten the time grid")
+            f"phases up to {phase:.3e} rad round by up to {bound:.3e} rad, past "
+            f"the {PHASE_ROUNDING_LIMIT} rad limit; shorten the time grid")
     return bound
 
 

@@ -18,7 +18,7 @@ def test_hermite_sweep_rejects_negative_order():
 
 def test_phase_rounding_bound_arithmetic():
     eps = np.finfo(np.float64).eps
-    assert _kernels.phase_rounding(1e15, 1e-11) == eps * 1e15 * 1e-11
+    assert _kernels.phase_rounding(1e15, 1e-11) == eps * (1e15 * 1e-11)
     t_limit = _kernels.PHASE_ROUNDING_LIMIT / (eps * 1e15)
     _kernels.phase_rounding(1e15, 0.5 * t_limit)
     for t in (2.0 * t_limit, 1e300, math.inf, math.nan):
