@@ -7,6 +7,8 @@ Both are plain numpy.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -93,7 +95,7 @@ def hermite_sweep(n: int, xi: np.ndarray):
     p = np.full_like(xi, np.pi ** -0.25)  # p_0
     expo = np.zeros_like(xi)  # carried base-2 exponent
     for m in range(1, n + 1):
-        p_prev, p = p, xi * np.sqrt(2.0 / m) * p - np.sqrt((m - 1.0) / m) * p_prev
+        p_prev, p = p, xi * math.sqrt(2.0 / m) * p - math.sqrt((m - 1.0) / m) * p_prev
         if m % _RESCALE_STRIDE == 0:
             big = np.abs(p) > _RESCALE_LIMIT
             if big.any():

@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -133,14 +133,6 @@ def parse_config_lines(lines, source: str = "config") -> dict:
     return out
 
 
-def config_echo_lines(cfg: RunConfig, command: str) -> list[str]:
-    lines = [f"# graphene-revivals {command}"]
-    resolved = replace(cfg, t_end_fs=cfg.resolve_t_end_fs())
-    for f in fields(RunConfig):
-        lines.append(f"# {f.name} = {_format_value(getattr(resolved, f.name))}")
-    return lines
-
-
 def config_from_output(path: str) -> tuple[str, RunConfig]:
     """Recover (command, RunConfig) from a written output file (csv or json)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -163,10 +155,6 @@ def config_from_output(path: str) -> tuple[str, RunConfig]:
     return command, RunConfig(**parse_config_lines(kv_lines, source=path))
 
 
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -175,25 +163,30 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _rows(*columns: np.ndarray) -> list[tuple]:
+    """Row tuples of Python floats from equal-length float64 columns."""
+    return list(zip(*(c.tolist() for c in columns)))
+
+
 def _render(cfg: RunConfig, command: str, columns: list[str],
-            rows: list[list], trailer: list[str] | None = None,
+            rows: list, trailer: list[str] | None = None,
             out: str | None = None) -> None:
+    """Config echo, rows and trailer as CSV (numbers %.17g, strings %s) or JSON."""
+    config = asdict(cfg)
     if cfg.format == "csv":
-        lines = config_echo_lines(cfg, command)
+        lines = [f"# graphene-revivals {command}"]
+        lines += [f"# {k} = {_format_value(v)}" for k, v in config.items()]
         lines.append(",".join(columns))
+        templates: dict = {}
         for row in rows:
-            lines.append(",".join(x if isinstance(x, str) else _g17(x) for x in row))
-        if trailer:
-            lines.extend(f"# {t}" for t in trailer)
+            kinds = tuple(map(type, row))
+            if kinds not in templates:
+                templates[kinds] = ",".join("%s" if k is str else "%.17g" for k in kinds)
+            lines.append(templates[kinds] % tuple(row))
+        lines += [f"# {t}" for t in trailer or ()]
         _write("\n".join(lines) + "\n", out)
     else:
-        resolved = replace(cfg, t_end_fs=cfg.resolve_t_end_fs())
-        doc = {
-            "command": command,
-            "config": {f.name: getattr(resolved, f.name) for f in fields(RunConfig)},
-            "columns": columns,
-            "rows": rows,
-        }
+        doc = {"command": command, "config": config, "columns": columns, "rows": rows}
         if trailer:
             doc["trailer"] = trailer
         _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
@@ -214,16 +207,17 @@ def cmd_timescales(cfg: RunConfig, out: str | None) -> None:
         ("hbar_omega_mev", convert(model.omega, "rad/s", "meV")),
         ("magnetic_length_nm", magnetic_length(cfg.field_params()) * 1e9),
     ]
-    _render(cfg, "timescales", ["quantity", "value"],
-            [[k, v] for k, v in entries], out=out)
+    _render(cfg, "timescales", ["quantity", "value"], entries, out=out)
 
 
 def cmd_autocorr(cfg: RunConfig, out: str | None) -> None:
     model = SpectrumModel(cfg.field_params())
     table = build_weights(cfg.packet_spec())
     series = autocorrelation(table, model, cfg.time_grid())
-    t_fs = convert(series.grid.times, "s", "fs")
-    rows = [[t, v.real, v.imag, abs(v) ** 2] for t, v in zip(t_fs, series.values)]
+    re, im = series.values.real, series.values.imag
+    # |A|^2 as hypot, then pow: the same bits as the scalar abs(v) ** 2
+    abs2 = np.float_power(np.hypot(re, im), 2.0)
+    rows = _rows(convert(series.grid.times, "s", "fs"), re, im, abs2)
     _render(cfg, "autocorr", ["t_fs", "re_A", "im_A", "abs2_A"], rows, out=out)
 
 
@@ -241,25 +235,23 @@ def _observed(cfg: RunConfig, series, gamma_mev: float):
 def cmd_current(cfg: RunConfig, out: str | None) -> None:
     jx, jy = (_observed(cfg, j, cfg.gamma_mev) for j in _undamped_currents(cfg))
     scale = E_CHARGE * cfg.v_f if cfg.si_current else 1.0
-    t_fs = convert(jx.grid.times, "s", "fs")
-    rows = [[t, scale * x, scale * y]
-            for t, x, y in zip(t_fs, jx.values, jy.values)]
+    rows = _rows(convert(jx.grid.times, "s", "fs"), scale * jx.values, scale * jy.values)
     _render(cfg, "current", ["t_fs", "jx_evf", "jy_evf"], rows, out=out)
 
 
 def cmd_gamma_scan(cfg: RunConfig, out: str | None) -> None:
     model = SpectrumModel(cfg.field_params())
     scales = timescales(model, cfg.n0)
-    gammas = [0.0] if cfg.gamma_mev == 0.0 else list(
-        np.linspace(0.0, cfg.gamma_mev, cfg.gamma_steps))
+    gammas = [0.0] if cfg.gamma_mev == 0.0 else np.linspace(
+        0.0, cfg.gamma_mev, cfg.gamma_steps).tolist()
     columns = ["gamma_mev"]
     for tag in ("quarter", "half", "three_quarter", "full"):
         columns += [f"{tag}_class", f"{tag}_peak"]
     _, jy = _undamped_currents(cfg)
     rows = []
     for g in gammas:
-        report = detect_revivals(_observed(cfg, jy, float(g)), scales)
-        row: list = [float(g)]
+        report = detect_revivals(_observed(cfg, jy, g), scales)
+        row: list = [g]
         for st in report.stations:
             row.append(st.classification)
             row.append("" if st.peak is None else st.peak.value)
@@ -313,6 +305,7 @@ _COMMANDS = {
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then --config, then flags; t_end_fs comes back resolved."""
     values: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -321,7 +314,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
             values[f.name] = flag_value
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    return replace(cfg, t_end_fs=cfg.resolve_t_end_fs())
 
 
 def main(argv=None) -> int:
@@ -329,9 +323,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        model = SpectrumModel(cfg.field_params())
-        t_end = convert(cfg.resolve_t_end_fs(), "fs", "s")
-        phase_rounding(max_frequency(cfg.packet_spec(), model), t_end)
+        phase_rounding(max_frequency(cfg.packet_spec(), SpectrumModel(cfg.field_params())),
+                       convert(cfg.t_end_fs, "fs", "s"))
     except (ValueError, OSError) as err:
         print(f"graphene-revivals: config error: {err}", file=sys.stderr)
         return 1

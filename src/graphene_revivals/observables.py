@@ -73,9 +73,12 @@ class BroadeningModel:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < math.inf:
-            raise ValueError(
-                f"broadening must be non-negative and finite, got {self.gamma} J")
+        _check_width(self.gamma)
+
+
+def _check_width(gamma: float) -> None:
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"broadening must be non-negative and finite, got {gamma} J")
 
 
 def _level_frequencies(table: WeightTable, model: SpectrumModel) -> np.ndarray:
@@ -94,18 +97,10 @@ def _autocorr_values(table: WeightTable, model: SpectrumModel,
     return cos_part - 1j * s * sin_part
 
 
-def autocorrelation(table: WeightTable, model: SpectrumModel, grid: TimeGrid,
-                    broadening: BroadeningModel | None = None) -> ObservableSeries:
-    """Overlap of the evolved packet with itself at t = 0; |A(0)| = 1.
-
-    broadening, if given, damps each amplitude term by exp(-Gamma*t/hbar)
-    (the complex-energy picture applied to the state itself). This is an
-    extension beyond the current formulas and is off by default.
-    """
-    times = grid.times
-    values = _autocorr_values(table, model, times)
-    if broadening is not None and broadening.gamma != 0.0:
-        values = values * np.exp(-broadening.gamma * times / HBAR)
+def autocorrelation(table: WeightTable, model: SpectrumModel,
+                    grid: TimeGrid) -> ObservableSeries:
+    """Overlap of the evolved packet with itself at t = 0; |A(0)| = 1. Unbroadened."""
+    values = _autocorr_values(table, model, grid.times)
     return ObservableSeries(grid=grid, values=values, kind="autocorrelation",
                             units="dimensionless")
 
@@ -127,7 +122,11 @@ def _transition_frequencies(table, model):
 
 
 def damped(series: ObservableSeries, gamma: float) -> ObservableSeries:
-    """The series times the level-width envelope exp(-2*Gamma*t/hbar), Gamma [J]."""
+    """The series times the level-width envelope exp(-2*Gamma*t/hbar), Gamma [J].
+
+    Gamma must be finite and >= 0 (ValueError otherwise), as in BroadeningModel.
+    """
+    _check_width(gamma)
     env = np.exp(-2.0 * gamma * series.grid.times / HBAR)
     return replace(series, values=series.values * env)
 

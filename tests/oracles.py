@@ -123,3 +123,21 @@ def _prominence_by_walk(v, p: int) -> float:
         right_min = min(right_min, v[i])
         i += 1
     return float(v[p] - max(left_min, right_min))
+
+
+def autocorr_lines_by_value(t_fs, values):
+    """autocorr CSV data lines built one numpy scalar at a time.
+
+    Each row is t, Re A, Im A and the scalar abs(v) ** 2, each cell
+    formatted with .17g.
+    """
+    return [_g17_line([t, v.real, v.imag, abs(v) ** 2]) for t, v in zip(t_fs, values)]
+
+
+def current_lines_by_value(t_fs, jx, jy, scale: float):
+    """current CSV data lines built one numpy scalar at a time: t, scale*j_x, scale*j_y."""
+    return [_g17_line([t, scale * x, scale * y]) for t, x, y in zip(t_fs, jx, jy)]
+
+
+def _g17_line(row) -> str:
+    return ",".join(f"{x:.17g}" for x in row)

@@ -9,11 +9,15 @@ import pytest
 
 import graphene_revivals
 
-from graphene_revivals import (BroadeningModel, FieldParams, PacketSpec,
-                               SpectrumModel, TimeGrid, convert, observables,
-                               timescales)
+from graphene_revivals import (E_CHARGE, BroadeningModel, FieldParams,
+                               PacketSpec, SpectrumModel, TimeGrid,
+                               autocorrelation, build_weights, convert,
+                               currents, damped, observables, timescales,
+                               total_current_both_valleys)
 from graphene_revivals.cli import (RunConfig, config_from_output, main,
                                    parse_config_lines)
+
+from oracles import autocorr_lines_by_value, current_lines_by_value
 
 
 def run_cli(*argv):
@@ -96,21 +100,66 @@ def test_repeated_runs_byte_identical(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def run_python(*argv, **env):
+    """Run python with this package importable; extra env vars as keywords."""
+    src = str(Path(graphene_revivals.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env)
+    return subprocess.run([sys.executable, *argv], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_output_independent_of_blas_threads(tmp_path):
     # at 40001 samples a BLAS matrix-vector product splits the level sum by
     # thread; the kernel's contraction must not
-    src = str(Path(graphene_revivals.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"a{threads}.csv"
-        path = filter(None, [src, os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(path))
-        subprocess.run([sys.executable, "-m", "graphene_revivals.cli", "autocorr",
-                        "--samples", "40001", "--out", str(out)],
-                       env=env, check=True, timeout=120)
+        run_python("-m", "graphene_revivals.cli", "autocorr", "--samples", "40001",
+                   "--out", str(out), OPENBLAS_NUM_THREADS=threads)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_import_loads_no_test_only_dependency():
+    # the package and its CLI run on numpy alone; a test-only module
+    # imported from src/ would also slow every cold start
+    done = run_python("-c", "import sys, graphene_revivals, graphene_revivals.cli; "
+                      "print(*sorted(sys.modules))")
+    loaded = {name.partition(".")[0] for name in done.stdout.split()}
+    assert not loaded & {"scipy", "mpmath", "hypothesis", "numba"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("autocorr", "--bands", "pos"),
+    ("autocorr", "--bands", "neg"),
+    ("autocorr", "--bands", "both"),
+    ("current",),
+    ("current", "--bands", "neg", "--valleys", "both", "--si-current",
+     "--gamma-mev", "1.5"),
+    ("current", "--bands", "both", "--gamma-mev", "0.7"),
+])
+def test_cells_match_scalar_definition(tmp_path, argv):
+    # every data cell equals the per-value definition, bit for bit:
+    # abs2_A is the scalar abs(v) ** 2, every number is formatted .17g
+    out = tmp_path / "s.csv"
+    assert run_cli(*argv, "--samples", "300", "--out", str(out)) == 0
+    command, cfg = config_from_output(str(out))
+    model, grid = SpectrumModel(cfg.field_params()), cfg.time_grid()
+    table = build_weights(cfg.packet_spec())
+    t_fs = convert(grid.times, "s", "fs")
+    if command == "autocorr":
+        want = autocorr_lines_by_value(t_fs, autocorrelation(table, model, grid).values)
+    else:
+        jx, jy = (damped(j, convert(cfg.gamma_mev, "meV", "J"))
+                  for j in currents(table, model, grid))
+        if cfg.valleys == "both":
+            jx, jy = total_current_both_valleys(jx), total_current_both_valleys(jy)
+        scale = E_CHARGE * cfg.v_f if cfg.si_current else 1.0
+        want = current_lines_by_value(t_fs, jx.values, jy.values, scale)
+    got = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+    assert len(got) == 300
+    assert got == want
 
 
 def test_current_two_band_jx_zero(tmp_path):

@@ -7,7 +7,7 @@ from graphene_revivals import (HBAR, BroadeningModel, FieldParams, PacketSpec,
                                SpectrumModel, TimeGrid, abs_squared,
                                autocorrelation, build_weights,
                                current_single_band, current_two_band,
-                               currents, landau_energy, timescales,
+                               currents, damped, landau_energy, timescales,
                                total_current_both_valleys)
 from graphene_revivals._kernels import phase_rounding
 from graphene_revivals.observables import (_autocorr_values,
@@ -249,13 +249,12 @@ def test_truncation_robustness(model10):
         assert np.abs(j1 - j2).max() / np.abs(j1).max() < 1e-10
 
 
-def test_autocorr_broadening_extension(table15, model10):
-    grid = TimeGrid(0.0, 2e-12, 257)
-    gamma = 1e-3 * 1.602176634e-19
-    plain = autocorrelation(table15, model10, grid)
-    damped = autocorrelation(table15, model10, grid, BroadeningModel(gamma))
-    env = np.exp(-gamma * grid.times / HBAR)
-    assert damped.values == pytest.approx(plain.values * env, rel=1e-12)
+@pytest.mark.parametrize("gamma", [math.nan, -1e-20, math.inf])
+def test_damped_rejects_invalid_width(table15, model10, gamma):
+    # accepted, nan and inf would give NaN values and a negative width growing ones
+    _, jy = currents(table15, model10, TimeGrid(0.0, 1e-12, 64))
+    with pytest.raises(ValueError, match="broadening"):
+        damped(jy, gamma)
 
 
 def test_abs_squared(table15, model10):
