@@ -7,8 +7,7 @@ from .constants import (E_CHARGE, FERMI_VELOCITY_DEFAULT, HBAR, FieldParams,
                         convert, magnetic_length, omega)
 from .spectrum import (SpectrumModel, TimeScales, landau_energy,
                        spectrum_derivatives, timescales, zb_period_with_gap)
-from .wavepacket import (PacketSpec, WeightTable, build_weights,
-                         truncation_range, weight_at)
+from .wavepacket import PacketSpec, WeightTable, build_weights, truncation_range
 from .observables import (BroadeningModel, ObservableSeries, TimeGrid,
                           abs_squared, autocorrelation, current_single_band,
                           current_two_band, currents, damped,
@@ -26,7 +25,7 @@ __all__ = [
     "magnetic_length", "omega", "convert",
     "SpectrumModel", "TimeScales", "landau_energy", "spectrum_derivatives",
     "timescales", "zb_period_with_gap",
-    "PacketSpec", "WeightTable", "truncation_range", "build_weights", "weight_at",
+    "PacketSpec", "WeightTable", "truncation_range", "build_weights",
     "TimeGrid", "ObservableSeries", "BroadeningModel", "autocorrelation",
     "current_single_band", "current_two_band", "currents", "damped",
     "total_current_both_valleys",

@@ -3,11 +3,12 @@
 Revival stations are the four named fractions of the revival time,
 T_r/4, T_r/2, 3T_r/4 and T_r. A station is classified
 
-    full        a detected peak within +-window of the station reaches at
-                least `threshold` times the reference value,
-    fractional  a sufficiently prominent peak sits in the window but stays
-                below that,
-    absent      no sufficiently prominent peak in the window.
+    full        a peak within +-STATION_WINDOW of the station (relative to
+                the station time) reaches at least FULL_REVIVAL_SHARE of
+                the reference value,
+    fractional  a peak of prominence at least MIN_PROMINENCE of the
+                reference value sits in the window but stays below that,
+    absent      no such peak in the window.
 
 The reference value is the series' initial value when it is nonzero
 (|A(0)|^2 = 1 for autocorrelation strength) and the series maximum
@@ -20,7 +21,6 @@ station is absent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,14 +31,28 @@ from .wavepacket import PacketSpec, build_weights
 
 STATION_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
-# Calibrated default: genuine fractional revivals recover about half of the
+# A station's window is +-STATION_WINDOW of its time; a station peak that
+# reaches FULL_REVIVAL_SHARE of the reference value is a full revival.
+STATION_WINDOW = 0.05
+FULL_REVIVAL_SHARE = 0.5
+
+# Calibrated: genuine fractional revivals recover about half of the
 # reference value, background fluctuations of delocalized packets stay below
 # ~0.4 of it (see tests for the two regimes this separates).
-DEFAULT_MIN_PROMINENCE = 0.4
+MIN_PROMINENCE = 0.4
+
+# Zero-padding factor of the dominant_period periodogram.
+SPECTRUM_PAD = 32
 
 # A revival bump this far below the series maximum is treated as beyond
 # log-scale visibility (20 decades of dynamic range).
 LOG_VISIBILITY_FLOOR = 1e-20
+
+# estimate_gamma_max bisects Gamma over [0, GAMMA_BRACKET] [J] down to
+# GAMMA_TOL [J], on a GAMMA_SAMPLES-point grid over 1.06 * T_r.
+GAMMA_BRACKET = 20e-3 * E_CHARGE
+GAMMA_TOL = 0.05e-3 * E_CHARGE
+GAMMA_SAMPLES = 40001
 
 
 @dataclass(frozen=True)
@@ -126,46 +140,38 @@ def _reference_value(v: np.ndarray) -> float:
     return ref if ref != 0.0 else float(np.max(np.abs(v)))
 
 
-def detect_revivals(series: ObservableSeries, scales: TimeScales,
-                    window: float = 0.05, threshold: float = 0.5,
-                    min_prominence: float = DEFAULT_MIN_PROMINENCE) -> RevivalReport:
-    """Classify the four revival stations on a real series.
-
-    window and threshold are relative: a peak belongs to a station when it
-    lies within +-window of the station time, and counts as a full revival
-    when its value reaches threshold times the reference value.
-    min_prominence is likewise a fraction of the reference value.
-    """
+def detect_revivals(series: ObservableSeries, scales: TimeScales) -> RevivalReport:
+    """Classify the four revival stations; the series must reach past the
+    last station's window, to (1 + STATION_WINDOW) * t_revival."""
     v = _require_real(series)
     t_r = scales.t_revival
-    if series.grid.t_end < 1.05 * t_r:
+    span = 1.0 + STATION_WINDOW
+    if series.grid.t_end < span * t_r:
         raise ValueError(
-            f"series must span at least 1.05 * t_revival = {1.05 * t_r:.3e} s, "
+            f"series must span at least {span:g} * t_revival = {span * t_r:.3e} s, "
             f"ends at {series.grid.t_end:.3e} s")
     ref = _reference_value(v)
-    peaks = find_peaks(series, min_prominence * ref)
+    peaks = find_peaks(series, MIN_PROMINENCE * ref)
     stations = []
     for frac in STATION_FRACTIONS:
         t_st = frac * t_r
-        near = [p for p in peaks if abs(p.time - t_st) <= window * t_st]
+        near = [p for p in peaks if abs(p.time - t_st) <= STATION_WINDOW * t_st]
         if not near:
             stations.append(StationResult(frac, t_st, None, "absent"))
             continue
         best = max(near, key=lambda p: p.value)
-        cls = "full" if best.value >= threshold * ref else "fractional"
+        cls = "full" if best.value >= FULL_REVIVAL_SHARE * ref else "fractional"
         stations.append(StationResult(frac, t_st, best, cls))
     return RevivalReport(predicted_t_revival=t_r, stations=tuple(stations))
 
 
-def measure_period(series: ObservableSeries, window: tuple[float, float],
-                   check_spectrum: bool = True) -> float:
+def measure_period(series: ObservableSeries, window: tuple[float, float]) -> float:
     """Oscillation period within a time window [s].
 
     Estimated as twice the mean spacing of sign changes (linearly
-    interpolated between samples); needs at least 3 crossings. When
-    check_spectrum is on, a discrete-spectrum estimate (windowed, zero-padded
-    periodogram with parabolic peak refinement) must agree within 5%,
-    otherwise the window is considered ambiguous and this raises.
+    interpolated between samples); needs at least 3 crossings. The
+    discrete-spectrum estimate of :func:`dominant_period` must agree within
+    5%, otherwise the window is considered ambiguous and this raises.
     """
     v = _require_real(series)
     t = series.grid.times
@@ -179,17 +185,15 @@ def measure_period(series: ObservableSeries, window: tuple[float, float],
         raise ValueError(f"need at least 3 zero crossings in the window, got {idx.size}")
     t_cross = tw[idx] - vw[idx] * (tw[idx + 1] - tw[idx]) / (vw[idx + 1] - vw[idx])
     period = 2.0 * float(np.mean(np.diff(t_cross)))
-    if check_spectrum:
-        alt = dominant_period(series, window)
-        if abs(alt - period) > 0.05 * period:
-            raise ValueError(
-                f"period estimates disagree: crossings {period:.4e} s vs "
-                f"spectrum {alt:.4e} s")
+    alt = dominant_period(series, window)
+    if abs(alt - period) > 0.05 * period:
+        raise ValueError(
+            f"period estimates disagree: crossings {period:.4e} s vs "
+            f"spectrum {alt:.4e} s")
     return period
 
 
-def dominant_period(series: ObservableSeries, window: tuple[float, float],
-                    pad_factor: int = 32) -> float:
+def dominant_period(series: ObservableSeries, window: tuple[float, float]) -> float:
     """Period of the strongest spectral component within a time window [s]."""
     v = _require_real(series)
     t = series.grid.times
@@ -198,8 +202,8 @@ def dominant_period(series: ObservableSeries, window: tuple[float, float],
     if vw.size < 8:
         raise ValueError("window contains too few samples for a spectrum")
     vw = vw - vw.mean()
-    spec = np.abs(np.fft.rfft(vw * np.hanning(vw.size), n=pad_factor * vw.size))
-    freqs = np.fft.rfftfreq(pad_factor * vw.size, d=series.grid.spacing)
+    spec = np.abs(np.fft.rfft(vw * np.hanning(vw.size), n=SPECTRUM_PAD * vw.size))
+    freqs = np.fft.rfftfreq(SPECTRUM_PAD * vw.size, d=series.grid.spacing)
     i = int(np.argmax(spec[1:])) + 1
     if 1 <= i < spec.size - 1:
         a, b, c = spec[i - 1], spec[i], spec[i + 1]
@@ -214,25 +218,25 @@ def dominant_period(series: ObservableSeries, window: tuple[float, float],
 
 
 def station_visible_log(series: ObservableSeries, scales: TimeScales,
-                        fraction: float = 0.25, window: float = 0.05,
+                        fraction: float = 0.25,
                         floor: float = LOG_VISIBILITY_FLOOR) -> bool:
     """Log-scale visibility of one revival station on a current series.
 
-    True when max |values| within +-window of the station stays above
+    True when max |values| within +-STATION_WINDOW of the station stays above
     floor * max |values| of the whole series, i.e. the revival bump would
     still show on a logarithmic plot with -log10(floor) decades of range.
     """
     v = np.abs(_require_real(series))
     t = series.grid.times
     t_st = fraction * scales.t_revival
-    mask = np.abs(t - t_st) <= window * t_st
+    mask = np.abs(t - t_st) <= STATION_WINDOW * t_st
     if not mask.any():
         raise ValueError("station window lies outside the series")
     return float(v[mask].max()) >= floor * float(v.max())
 
 
 def default_gamma_criterion(series: ObservableSeries, scales: TimeScales) -> bool:
-    """Shipped revival-visibility predicate for the width limit.
+    """Revival-visibility predicate that bounds the width limit.
 
     The earliest named station (T_r/4) must remain log-scale visible within
     LOG_VISIBILITY_FLOOR of the series maximum. Late stations disappear first
@@ -242,36 +246,27 @@ def default_gamma_criterion(series: ObservableSeries, scales: TimeScales) -> boo
     return station_visible_log(series, scales, fraction=0.25)
 
 
-def estimate_gamma_max(packet: PacketSpec, field: FieldParams,
-                       criterion: Callable[[ObservableSeries, TimeScales], bool]
-                       | None = None,
-                       gamma_hi: float = 20e-3 * E_CHARGE,
-                       tol: float = 0.05e-3 * E_CHARGE,
-                       n_samples: int = 40001) -> float:
+def estimate_gamma_max(packet: PacketSpec, field: FieldParams) -> float:
     """Largest level width [J] at which current revivals stay visible.
 
-    Bisects the monotone predicate `criterion(broadened j_y series, scales)`
-    over Gamma in [0, gamma_hi] down to the given tolerance (default
-    0.05 meV). The criterion must hold at Gamma = 0 and is assumed monotone
-    (a larger width never improves visibility; true for the global
-    exp(-2*Gamma*t/hbar) envelope). The default criterion is
-    :func:`default_gamma_criterion`.
+    Bisects :func:`default_gamma_criterion` on the broadened j_y series over
+    Gamma in [0, GAMMA_BRACKET] down to GAMMA_TOL (0.05 meV). The criterion
+    must hold at Gamma = 0 and is monotone (a larger width never improves
+    visibility under the global exp(-2*Gamma*t/hbar) envelope).
     """
-    if criterion is None:
-        criterion = default_gamma_criterion
     model = SpectrumModel(field)
     scales = timescales(model, packet.n0)
-    grid = TimeGrid(0.0, 1.06 * scales.t_revival, n_samples)
+    grid = TimeGrid(0.0, 1.06 * scales.t_revival, GAMMA_SAMPLES)
     _, jy = currents(build_weights(packet), model, grid)
-    if not criterion(damped(jy, 0.0), scales):
+    if not default_gamma_criterion(damped(jy, 0.0), scales):
         raise ValueError("revivals are not visible even at zero broadening; "
                          "the criterion cannot bound the width")
-    lo, hi = 0.0, gamma_hi
-    if criterion(damped(jy, hi), scales):
+    lo, hi = 0.0, GAMMA_BRACKET
+    if default_gamma_criterion(damped(jy, hi), scales):
         return hi  # visible across the whole bracket
-    while hi - lo > tol:
+    while hi - lo > GAMMA_TOL:
         mid = 0.5 * (lo + hi)
-        if criterion(damped(jy, mid), scales):
+        if default_gamma_criterion(damped(jy, mid), scales):
             lo = mid
         else:
             hi = mid

@@ -29,8 +29,8 @@ import numpy as np
 from ._kernels import phase_rounding
 from .analysis import detect_revivals, estimate_gamma_max
 from .constants import E_CHARGE, FieldParams, convert, magnetic_length
-from .observables import (TimeGrid, autocorrelation, currents, damped,
-                          max_frequency, total_current_both_valleys)
+from .observables import (TimeGrid, abs_squared, autocorrelation, currents,
+                          damped, max_frequency, total_current_both_valleys)
 from .spectrum import SpectrumModel, timescales, zb_period_with_gap
 from .wavepacket import PacketSpec, build_weights
 
@@ -214,10 +214,8 @@ def cmd_autocorr(cfg: RunConfig, out: str | None) -> None:
     model = SpectrumModel(cfg.field_params())
     table = build_weights(cfg.packet_spec())
     series = autocorrelation(table, model, cfg.time_grid())
-    re, im = series.values.real, series.values.imag
-    # |A|^2 as hypot, then pow: the same bits as the scalar abs(v) ** 2
-    abs2 = np.float_power(np.hypot(re, im), 2.0)
-    rows = _rows(convert(series.grid.times, "s", "fs"), re, im, abs2)
+    rows = _rows(convert(series.grid.times, "s", "fs"), series.values.real,
+                 series.values.imag, abs_squared(series).values)
     _render(cfg, "autocorr", ["t_fs", "re_A", "im_A", "abs2_A"], rows, out=out)
 
 
@@ -324,7 +322,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         phase_rounding(max_frequency(cfg.packet_spec(), SpectrumModel(cfg.field_params())),
-                       convert(cfg.t_end_fs, "fs", "s"))
+                       cfg.time_grid().t_end)
     except (ValueError, OSError) as err:
         print(f"graphene-revivals: config error: {err}", file=sys.stderr)
         return 1

@@ -206,7 +206,9 @@ def total_current_both_valleys(per_valley: ObservableSeries) -> ObservableSeries
 
 
 def abs_squared(series: ObservableSeries) -> ObservableSeries:
-    """|values|^2 as a real series (e.g. revival strength |A(t)|^2)."""
+    """|values|^2 as a real series (e.g. revival strength |A(t)|^2); hypot,
+    then pow: the same bits as the scalar abs(v) ** 2."""
+    v = series.values
     return ObservableSeries(grid=series.grid,
-                            values=np.abs(series.values) ** 2,
+                            values=np.float_power(np.hypot(v.real, v.imag), 2.0),
                             kind=series.kind, units=series.units)

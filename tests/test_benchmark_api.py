@@ -1,0 +1,39 @@
+"""The package API that the benchmark in perfbench/ calls.
+
+perfbench/tracer.py wraps each TARGETS entry by name, and perfbench/library.py
+calls the public functions positionally. Renaming or deleting one of them, or
+changing a positional signature, breaks traced runs or the library workload;
+these tests catch that here. They read perfbench/ and change nothing there.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+import graphene_revivals as gr
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name: str):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        return importlib.import_module(name)
+
+
+def test_tracer_targets_are_callable():
+    tracer = perfbench_module("tracer")
+    for span, modname, attr in tracer.TARGETS:
+        module = importlib.import_module(f"graphene_revivals.{modname}")
+        assert callable(getattr(module, attr, None)), (span, modname, attr)
+
+
+def test_library_pass_runs():
+    library = perfbench_module("library")
+    params = {"B": 10.0, "n0": 15, "samples": 4001, "gamma_mev": 0.7,
+              "deloc_n0": 11, "deloc_sigma": 40.0, "hermite_order": 100,
+              "hermite_points": 4001, "hermite_half_width": 150.0}
+    results = library.run_pass(gr, params)
+    assert len(results) == 10
+    assert len(library.digests(results)) == 10

@@ -312,6 +312,15 @@ def test_phase_precision_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_underflowed_grid_end_is_config_error(tmp_path, capsys):
+    # 1e-320 fs is 0.0 s once converted: the grid is empty before any run
+    out = tmp_path / "x.csv"
+    assert run_cli("autocorr", "--t-end-fs", "1e-320", "--samples", "4",
+                   "--out", str(out)) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gamma_scan_underflowed_rows_are_absent(tmp_path):
     # at this width the envelope is exactly zero for every t > 0
     ref, out = tmp_path / "g0.csv", tmp_path / "g.csv"

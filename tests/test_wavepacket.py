@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphene_revivals import (PacketSpec, WeightTable, build_weights,
-                               truncation_range, weight_at)
+                               truncation_range)
 
 from oracles import truncation_half_width
 
@@ -63,7 +63,7 @@ def test_population_normalization(n0, sigma, bands):
 def test_offdiag_to_diag_ratio():
     # U_{14,15}/U_{15,15} = exp(-1/(2 sigma)), independent of normalization
     table = build_weights(PacketSpec(15, 3.0))
-    ratio = weight_at(table, 14, 15) / weight_at(table, 15, 15)
+    ratio = table.offdiag[15 - table.n_min - 1] / table.diag[15 - table.n_min]
     assert ratio == pytest.approx(math.exp(-1.0 / 6.0), rel=1e-12)
 
 
@@ -71,11 +71,6 @@ def test_delta_limit_of_narrow_packet():
     table = build_weights(PacketSpec(15, 1e-3))
     assert table.n_min == table.n_max == 15
     assert table.diag == pytest.approx([1.0], abs=0)
-
-
-def test_symmetry():
-    table = build_weights(PacketSpec(15, 3.0))
-    assert weight_at(table, 14, 15) == weight_at(table, 15, 14)
 
 
 def test_peak_at_center_and_monotone_decay():
@@ -90,21 +85,10 @@ def test_peak_at_center_and_monotone_decay():
 def test_rank_one_structure():
     table = build_weights(PacketSpec(15, 3.0))
     for n in range(table.n_min + 1, table.n_max + 1):
-        lhs = weight_at(table, n - 1, n) ** 2
-        rhs = weight_at(table, n - 1, n - 1) * weight_at(table, n, n)
+        i = n - table.n_min
+        lhs = table.offdiag[i - 1] ** 2
+        rhs = table.diag[i - 1] * table.diag[i]
         assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_weight_at_out_of_range_is_zero():
-    table = build_weights(PacketSpec(15, 3.0))
-    assert weight_at(table, table.n_max + 5, table.n_max + 5) == 0.0
-    assert weight_at(table, table.n_min - 1, table.n_min) == 0.0
-
-
-def test_weight_at_rejects_far_offsets():
-    table = build_weights(PacketSpec(15, 3.0))
-    with pytest.raises(ValueError):
-        weight_at(table, 13, 15)
 
 
 def test_tables_are_read_only():
