@@ -14,12 +14,20 @@ import numpy as np
 
 # --- weighted trigonometric series -----------------------------------------
 #
-# trig_series(w, om, t)[0][k] = sum_j w[j] * cos(om[j] * t[k])
-# trig_series(w, om, t)[1][k] = sum_j w[j] * sin(om[j] * t[k])
+# trig_series(w, om, t, np.cos, np.sin) == (C, S) with
+#
+#   C[k] = sum_j w[j] * cos(om[j] * t[k]),   S[k] = sum_j w[j] * sin(om[j] * t[k])
 #
 # One kernel serves every observable: autocorrelation (weights = level
 # populations, om = E_n/hbar), currents (weights = first off-diagonal
-# overlaps, om = transition frequencies).
+# overlaps, om = transition frequencies). A caller names only the functions
+# its series uses: the two-band current is a pure sine series and asks for
+# np.sin alone, so no cosine of its large sum-frequency phases is evaluated.
+#
+# Each requested function gets its own phase table and runs on it in place,
+# and the table is freed before the next one is built, so a call holds one
+# T x L float64 table at a time. Reusing one table for cos and sin would
+# need a second table for whichever runs first.
 #
 # The sums over j are einsum contractions, not matrix products: a BLAS
 # gemv splits the sum by thread, so its last bits would depend on the BLAS
@@ -46,11 +54,23 @@ def phase_rounding(max_omega: float, max_time: float) -> float:
     return bound
 
 
-def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray):
-    """(sum_j w_j cos(om_j t_k), sum_j w_j sin(om_j t_k)) over the time grid.
+def _weighted_sum(f, weights, omegas, times):
+    """sum_j w_j f(om_j t_k) over one phase table, f evaluated in place."""
+    phases = np.outer(times, omegas)
+    return np.einsum("ij,j->i", f(phases, out=phases), weights)
 
-    Raises ValueError when the largest phase is too large to carry correct
-    digits (see :func:`phase_rounding`).
+
+def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *trigs):
+    """(sum_j w_j f(om_j t_k) for f in trigs) over the time grid, f np.cos or np.sin.
+
+    Error model: each phase is fl(om_j * t_k), so against the exact sum at
+    the same float inputs every value is off by
+
+        |err_k| <= eps * (max|om| * max|t| + L) * sum_j |w_j|,
+
+    phase rounding plus the rounding of f and of the L-term sum. Raises
+    ValueError when the largest phase is too large to carry correct digits
+    (see :func:`phase_rounding`).
     """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     omegas = np.ascontiguousarray(omegas, dtype=np.float64)
@@ -58,9 +78,7 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray):
     if weights.shape != omegas.shape:
         raise ValueError("weights and omegas must have the same length")
     phase_rounding(np.abs(omegas).max(initial=0.0), np.abs(times).max(initial=0.0))
-    phases = np.outer(times, omegas)
-    return (np.einsum("ij,j->i", np.cos(phases), weights),
-            np.einsum("ij,j->i", np.sin(phases), weights))
+    return tuple(_weighted_sum(f, weights, omegas, times) for f in trigs)
 
 
 # --- normalized Hermite-Gaussian recurrence ---------------------------------
@@ -87,10 +105,15 @@ _LN2 = float(np.log(2.0))
 
 
 def hermite_sweep(n: int, xi: np.ndarray):
-    """(h_{n-1}(xi), h_n(xi)) for the normalized Hermite-Gaussian functions."""
+    """(h_{n-1}(xi), h_n(xi)) for the normalized Hermite-Gaussian functions.
+
+    Raises ValueError for a negative order or a non-finite xi.
+    """
     if n < 0:
         raise ValueError(f"order must be non-negative, got {n}")
     xi = np.ascontiguousarray(xi, dtype=np.float64)
+    if not np.isfinite(xi).all():
+        raise ValueError("Hermite functions need finite xi")
     p_prev = np.zeros_like(xi)  # p_{-1} == 0
     p = np.full_like(xi, np.pi ** -0.25)  # p_0
     expo = np.zeros_like(xi)  # carried base-2 exponent

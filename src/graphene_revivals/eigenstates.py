@@ -43,7 +43,8 @@ class Eigenspinor:
 def hermite_function(n: int, xi):
     """Normalized Hermite-Gaussian h_n(xi); scalar in, scalar out.
 
-    Stable for n up to at least 10^4 and any xi.
+    Stable for n up to at least 10^4 and any finite xi; NaN or infinite xi
+    raises ValueError.
     """
     if n < 0:
         raise ValueError(f"order must be non-negative, got {n}")

@@ -89,10 +89,11 @@ def _level_frequencies(table: WeightTable, model: SpectrumModel) -> np.ndarray:
 def _autocorr_values(table: WeightTable, model: SpectrumModel,
                      times: np.ndarray) -> np.ndarray:
     om = _level_frequencies(table, model)
-    cos_part, sin_part = trig_series(table.diag, om, times)
     if table.band_content == "both":
         # e^{-i om t} + e^{+i om t} summed with equal per-band weights
+        (cos_part,) = trig_series(table.diag, om, times, np.cos)
         return 2.0 * cos_part + 0.0j
+    cos_part, sin_part = trig_series(table.diag, om, times, np.cos, np.sin)
     s = +1 if table.band_content == "positive" else -1
     return cos_part - 1j * s * sin_part
 
@@ -133,14 +134,14 @@ def damped(series: ObservableSeries, gamma: float) -> ObservableSeries:
 
 def _single_band_values(table, model, times, s):
     d_om, _ = _transition_frequencies(table, model)
-    cos_part, sin_part = trig_series(table.offdiag, d_om, times)
+    cos_part, sin_part = trig_series(table.offdiag, d_om, times, np.cos, np.sin)
     return s * cos_part, sin_part
 
 
 def _two_band_values(table, model, times):
     d_om, s_om = _transition_frequencies(table, model)
-    _, sin_fast = trig_series(table.offdiag, s_om, times)
-    _, sin_slow = trig_series(table.offdiag, d_om, times)
+    (sin_fast,) = trig_series(table.offdiag, s_om, times, np.sin)
+    (sin_slow,) = trig_series(table.offdiag, d_om, times, np.sin)
     return np.zeros_like(times), sin_fast + sin_slow
 
 

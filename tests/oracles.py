@@ -85,6 +85,26 @@ def damped_direct_sum(weights, omegas, gamma, hbar, times, trig):
     return out
 
 
+def exact_trig_sums(weights, omegas, times):
+    """(sum_j w_j cos(om_j t_k), sum_j w_j sin(om_j t_k)) in 40-digit mpmath.
+
+    The inputs are taken as exact binary values: at 40 digits each product
+    om_j * t_k is exact, so these are the exact sums at the same float
+    inputs, rounded once to float64 at the end.
+    """
+    import mpmath as mp
+    cos_sums, sin_sums = [], []
+    with mp.workdps(40):
+        ws = [mp.mpf(float(w)) for w in weights]
+        oms = [mp.mpf(float(om)) for om in omegas]
+        for t in times:
+            t = mp.mpf(float(t))
+            phases = [om * t for om in oms]
+            cos_sums.append(float(mp.fsum(w * mp.cos(x) for w, x in zip(ws, phases))))
+            sin_sums.append(float(mp.fsum(w * mp.sin(x) for w, x in zip(ws, phases))))
+    return np.array(cos_sums), np.array(sin_sums)
+
+
 def peaks_by_walk(values, times, min_prominence: float):
     """Peaks and prominences by the definition, one walk per candidate.
 

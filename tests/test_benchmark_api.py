@@ -9,6 +9,7 @@ these tests catch that here. They read perfbench/ and change nothing there.
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphene_revivals as gr
@@ -27,6 +28,15 @@ def test_tracer_targets_are_callable():
     for span, modname, attr in tracer.TARGETS:
         module = importlib.import_module(f"graphene_revivals.{modname}")
         assert callable(getattr(module, attr, None)), (span, modname, attr)
+
+
+def test_tracer_counts_kernel_terms_from_positional_arguments():
+    # the tracer reads omegas and times at positions 1 and 2 of trig_series
+    tracer = perfbench_module("tracer")
+    w, om, t = np.ones(7), np.linspace(1.0, 2.0, 7), np.linspace(0.0, 1.0, 11)
+    result = gr._kernels.trig_series(w, om, t, np.sin)
+    assert tracer._counts_trig_series((w, om, t, np.sin), {}, result) == {
+        "terms": len(om) * len(t)}
 
 
 def test_library_pass_runs():

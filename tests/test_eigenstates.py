@@ -25,6 +25,14 @@ def test_negative_order_rejected():
         hermite_function(-1, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_xi_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        hermite_function(5, bad)
+    with pytest.raises(ValueError, match="finite"):
+        eigenspinor(3, +1, "K1", [0.0, bad])
+
+
 @pytest.mark.parametrize("n", range(13))
 def test_recurrence_matches_explicit_polynomials(n):
     values = hermite_function(n, XI_GRID)
