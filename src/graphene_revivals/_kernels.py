@@ -104,14 +104,15 @@ _RESCALE_STRIDE = 16  # growth per step stays far below 2^32; 16 steps are safe
 _LN2 = float(np.log(2.0))
 
 
-def hermite_sweep(n: int, xi: np.ndarray):
+def hermite_sweep(n: int, xi):
     """(h_{n-1}(xi), h_n(xi)) for the normalized Hermite-Gaussian functions.
 
-    Raises ValueError for a negative order or a non-finite xi.
+    The output shape follows xi; a scalar xi gives float64 scalars. Raises
+    ValueError for a negative order or a non-finite xi.
     """
     if n < 0:
         raise ValueError(f"order must be non-negative, got {n}")
-    xi = np.ascontiguousarray(xi, dtype=np.float64)
+    xi = np.asarray(xi, dtype=np.float64)[()]
     if not np.isfinite(xi).all():
         raise ValueError("Hermite functions need finite xi")
     p_prev = np.zeros_like(xi)  # p_{-1} == 0

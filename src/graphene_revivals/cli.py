@@ -13,7 +13,7 @@ resolved configuration in its output header, and that echo parses back into
 an identical run, so outputs are self-reproducing. Repeated runs of the
 same configuration produce byte-identical files.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 configuration or usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import numpy as np
 
 from ._kernels import phase_rounding
 from .analysis import detect_revivals, estimate_gamma_max
-from .constants import E_CHARGE, FieldParams, convert, magnetic_length
+from .constants import (E_CHARGE, FERMI_VELOCITY_DEFAULT, FieldParams, convert,
+                        magnetic_length)
 from .observables import (TimeGrid, abs_squared, autocorrelation, currents,
                           damped, max_frequency, total_current_both_valleys)
 from .spectrum import SpectrumModel, timescales, zb_period_with_gap
@@ -42,7 +43,7 @@ class RunConfig:
     """Fully resolved run parameters (flag vocabulary, CLI units)."""
 
     B: float = 10.0            # tesla
-    v_f: float = 1.0e6         # m/s
+    v_f: float = FERMI_VELOCITY_DEFAULT  # m/s
     n0: int = 15
     sigma: float = 3.0
     bands: str = "pos"         # pos | neg | both
@@ -317,8 +318,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # argparse has printed usage and the error
+        return 0 if stop.code == 0 else 1  # 0 after --help
     try:
         cfg = resolve_config(args)
         phase_rounding(max_frequency(cfg.packet_spec(), SpectrumModel(cfg.field_params())),

@@ -46,23 +46,17 @@ def hermite_function(n: int, xi):
     Stable for n up to at least 10^4 and any finite xi; NaN or infinite xi
     raises ValueError.
     """
-    if n < 0:
-        raise ValueError(f"order must be non-negative, got {n}")
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    _, h = hermite_sweep(n, xi_arr)
-    return h if np.ndim(xi) else float(h[0])
+    _, h = hermite_sweep(n, xi)
+    return h if np.ndim(xi) else float(h)
 
 
 def eigenspinor(n: int, s: int, valley: str, xi) -> Eigenspinor:
     """Two-component eigenspinor at valley K1 or K2 for level (n, s)."""
-    if n < 0:
-        raise ValueError(f"level index must be non-negative, got {n}")
     if s not in (+1, -1):
         raise ValueError(f"band index s must be +1 or -1, got {s}")
     if valley not in VALLEYS:
         raise ValueError(f"valley must be one of {VALLEYS}, got {valley!r}")
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    h_below, h_n = hermite_sweep(n, xi_arr)  # h_{-1} == 0 comes out of the sweep
+    h_below, h_n = hermite_sweep(n, np.atleast_1d(xi))  # h_{-1} == 0 comes out of the sweep
     if valley == "K1":
         upper, lower = -s * h_below, h_n
     else:

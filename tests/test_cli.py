@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,33 @@ def test_bad_flag_value_exits_1(tmp_path, capsys):
     assert run_cli("autocorr", "--bands", "pos", "--sigma", "-1") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("current", "--bands", "foo"),
+    ("autocorr", "--samples", "abc"),
+    ("autocorr", "--volts", "3"),
+    (),
+])
+def test_usage_error_exits_1(tmp_path, argv):
+    out = tmp_path / "x.csv"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    assert run_cli("current", "--help") == 0
+    assert "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["samples = abc", "si_current = maybe",
+                                  "gamma_steps = 0"])
+def test_bad_config_value_is_config_error(tmp_path, capsys, line):
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "x.csv"
+    cfg.write_text(line + "\n")
+    assert run_cli("gamma-scan", "--config", str(cfg), "--out", str(out)) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_1(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("voltage = 3\n")
@@ -258,6 +286,20 @@ def test_gamma_scan_zero_range(tmp_path):
     assert row["half_class"] == "full"
     assert row["full_class"] == "full"
     assert any("gamma_max_mev" in t for t in trailer)
+
+
+def test_gamma_scan_json_trailer(tmp_path):
+    csv, js = tmp_path / "g.csv", tmp_path / "g.json"
+    assert run_cli("gamma-scan", "--out", str(csv)) == 0
+    assert run_cli("gamma-scan", "--format", "json", "--out", str(js)) == 0
+    _, columns, rows, trailer = read_csv(csv)
+    doc = json.loads(js.read_text())
+    assert doc["trailer"] == [t.removeprefix("# ") for t in trailer]
+    assert doc["trailer"][0].startswith("gamma_max_mev = ")
+    assert doc["columns"] == columns and len(doc["rows"]) == len(rows)
+    command, cfg = config_from_output(str(js))
+    assert command == "gamma-scan"
+    assert cfg == replace(config_from_output(str(csv))[1], format="json")
 
 
 def test_gamma_scan_monotone_visibility(tmp_path):

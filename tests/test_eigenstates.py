@@ -76,14 +76,14 @@ def test_forbidden_region_against_mpmath():
     # near xi ~ 38.6 the Gaussian factor alone underflows; a naive
     # Gaussian-seeded recurrence loses the amplitude there
     import mpmath as mp
-    mp.mp.dps = 50
 
     def exact(n, x):
         c_n = mp.sqrt(mp.mpf(2) ** n * mp.factorial(n) * mp.sqrt(mp.pi))
         return float(mp.e ** (-mp.mpf(x) ** 2 / 2) * mp.hermite(n, x) / c_n)
 
-    for n, x in [(754, 38.6), (1000, 40.0), (200, 25.0), (50, 3.0)]:
-        assert hermite_function(n, x) == pytest.approx(exact(n, x), rel=1e-9)
+    with mp.workdps(50):
+        for n, x in [(754, 38.6), (1000, 40.0), (200, 25.0), (50, 3.0)]:
+            assert hermite_function(n, x) == pytest.approx(exact(n, x), rel=1e-9)
 
 
 def test_stable_at_high_order():

@@ -20,6 +20,16 @@ def test_hermite_sweep_rejects_negative_order():
         _kernels.hermite_sweep(-1, np.zeros(3))
 
 
+@pytest.mark.parametrize("n, xi", [(0, 0.37), (30, 0.37), (754, 38.6)])
+def test_hermite_sweep_scalar_matches_one_element_array(n, xi):
+    # a scalar xi stays a scalar and gets the array path's bits, also past
+    # a rescale (754, 38.6)
+    for scalar, array in zip(_kernels.hermite_sweep(n, xi),
+                             _kernels.hermite_sweep(n, np.array([xi]))):
+        assert np.ndim(scalar) == 0
+        assert scalar.tobytes() == array[0].tobytes()
+
+
 def test_phase_rounding_bound_arithmetic():
     eps = np.finfo(np.float64).eps
     assert _kernels.phase_rounding(1e15, 1e-11) == eps * (1e15 * 1e-11)
