@@ -67,14 +67,12 @@ class Peak:
 @dataclass(frozen=True)
 class StationResult:
     fraction: float
-    time: float
     peak: Peak | None
     classification: str  # full | fractional | absent
 
 
 @dataclass(frozen=True)
 class RevivalReport:
-    predicted_t_revival: float
     stations: tuple[StationResult, ...]
 
     def classification(self, fraction: float) -> str:
@@ -157,12 +155,12 @@ def detect_revivals(series: ObservableSeries, scales: TimeScales) -> RevivalRepo
         t_st = frac * t_r
         near = [p for p in peaks if abs(p.time - t_st) <= STATION_WINDOW * t_st]
         if not near:
-            stations.append(StationResult(frac, t_st, None, "absent"))
+            stations.append(StationResult(frac, None, "absent"))
             continue
         best = max(near, key=lambda p: p.value)
         cls = "full" if best.value >= FULL_REVIVAL_SHARE * ref else "fractional"
-        stations.append(StationResult(frac, t_st, best, cls))
-    return RevivalReport(predicted_t_revival=t_r, stations=tuple(stations))
+        stations.append(StationResult(frac, best, cls))
+    return RevivalReport(tuple(stations))
 
 
 def measure_period(series: ObservableSeries, window: tuple[float, float]) -> float:

@@ -69,8 +69,9 @@ class RunConfig:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.gamma_steps < 1:
-            raise ValueError(f"gamma_steps must be >= 1, got {self.gamma_steps}")
+        if self.gamma_steps < 2:
+            raise ValueError("gamma_steps must be >= 2 to scan both ends of "
+                             f"[0, gamma_mev], got {self.gamma_steps}")
 
     # dependent objects -----------------------------------------------------
     def field_params(self) -> FieldParams:

@@ -24,7 +24,8 @@ class FieldParams:
     b_tesla : perpendicular magnetic field [T], must be > 0 (a vanishing
         field gives a continuous spectrum and no discrete-level dynamics).
     v_fermi : Fermi velocity [m/s], > 0.
-    gap_energy : energy gap [J], >= 0; only affects the interband period.
+    gap_energy : energy gap [J], >= 0. Only zb_period_with_gap reads it;
+        the spectrum, T_cl, T_r and every series stay gapless (README).
 
     All three must be finite; NaN and infinities raise ValueError.
     """

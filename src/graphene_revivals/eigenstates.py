@@ -35,13 +35,10 @@ class Eigenspinor:
 
     upper: np.ndarray
     lower: np.ndarray
-    valley: str
-    n: int
-    s: int
 
 
 def hermite_function(n: int, xi):
-    """Normalized Hermite-Gaussian h_n(xi); scalar in, scalar out.
+    """Normalized Hermite-Gaussian h_n(xi): a float for scalar xi, an array for an array.
 
     Stable for n up to at least 10^4 and any finite xi; NaN or infinite xi
     raises ValueError.
@@ -61,4 +58,4 @@ def eigenspinor(n: int, s: int, valley: str, xi) -> Eigenspinor:
         upper, lower = -s * h_below, h_n
     else:
         upper, lower = h_n, s * h_below
-    return Eigenspinor(upper=upper, lower=lower, valley=valley, n=n, s=s)
+    return Eigenspinor(upper=upper, lower=lower)

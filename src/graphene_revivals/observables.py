@@ -9,12 +9,11 @@ levels, with phases E*t/hbar:
     j_y(t) =     sum_n U_{n-1,n} { sin[(E_n + E_{n-1}) t / hbar]
                                  + sin[(E_n - E_{n-1}) t / hbar] }  (two bands)
 
-with j_x identically zero in the two-band case. Currents are reported in
-units of e*v_F. Level broadening with a level-independent width Gamma
-multiplies every current term by exp(-2*Gamma*t/hbar), which commutes with
-the sum and is applied as a global envelope to the finished series
-(:func:`damped`). The current sums run over transitions n-1 -> n with n >= 1,
-while the n = 0 population does enter A(t).
+with j_x identically zero in the two-band case. Level broadening with a
+level-independent width Gamma multiplies every current term by
+exp(-2*Gamma*t/hbar), which commutes with the sum and is applied as a global
+envelope to the finished series (:func:`damped`). The current sums run over
+transitions n-1 -> n with n >= 1, while the n = 0 population does enter A(t).
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from ._kernels import trig_series
 from .constants import HBAR
 from .spectrum import SpectrumModel
 from .wavepacket import PacketSpec, WeightTable, truncation_range
-
-CURRENT_UNITS = "e*v_F"
 
 
 @dataclass(frozen=True)
@@ -58,12 +55,11 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class ObservableSeries:
-    """A sampled observable: complex autocorrelation or real current."""
+    """A sampled observable: the complex, dimensionless autocorrelation A(t),
+    or a real current j_x or j_y in units of e*v_F."""
 
     grid: TimeGrid
     values: np.ndarray
-    kind: str  # autocorrelation | jx | jy
-    units: str  # dimensionless | e*v_F
 
 
 @dataclass(frozen=True)
@@ -101,9 +97,7 @@ def _autocorr_values(table: WeightTable, model: SpectrumModel,
 def autocorrelation(table: WeightTable, model: SpectrumModel,
                     grid: TimeGrid) -> ObservableSeries:
     """Overlap of the evolved packet with itself at t = 0; |A(0)| = 1. Unbroadened."""
-    values = _autocorr_values(table, model, grid.times)
-    return ObservableSeries(grid=grid, values=values, kind="autocorrelation",
-                            units="dimensionless")
+    return ObservableSeries(grid, _autocorr_values(table, model, grid.times))
 
 
 def max_frequency(spec: PacketSpec, model: SpectrumModel) -> float:
@@ -146,8 +140,7 @@ def _two_band_values(table, model, times):
 
 
 def _current_pair(grid, jx, jy, broadening):
-    pair = (ObservableSeries(grid=grid, values=jx, kind="jx", units=CURRENT_UNITS),
-            ObservableSeries(grid=grid, values=jy, kind="jy", units=CURRENT_UNITS))
+    pair = ObservableSeries(grid, jx), ObservableSeries(grid, jy)
     if broadening is None:
         return pair
     return tuple(damped(j, broadening.gamma) for j in pair)
@@ -177,8 +170,7 @@ def current_two_band(table: WeightTable, model: SpectrumModel, grid: TimeGrid,
 
     j_x vanishes identically (returned as exact zeros). j_y carries both the
     slow intraband transitions and the fast interband (zitterbewegung) terms.
-    Values are the unit-norm state's expectation; the per-band table weights
-    make the prefactor 1.
+    Known issue: j_y is half the unit-norm state's expectation (README).
     """
     if table.band_content != "both":
         raise ValueError(
@@ -202,14 +194,11 @@ def total_current_both_valleys(per_valley: ObservableSeries) -> ObservableSeries
     The two valleys host distinct eigenspinors but identical spectra, and a
     packet built with common coefficients contributes equally from each.
     """
-    return ObservableSeries(grid=per_valley.grid, values=2.0 * per_valley.values,
-                            kind=per_valley.kind, units=per_valley.units)
+    return replace(per_valley, values=2.0 * per_valley.values)
 
 
 def abs_squared(series: ObservableSeries) -> ObservableSeries:
     """|values|^2 as a real series (e.g. revival strength |A(t)|^2); hypot,
     then pow: the same bits as the scalar abs(v) ** 2."""
     v = series.values
-    return ObservableSeries(grid=series.grid,
-                            values=np.float_power(np.hypot(v.real, v.imag), 2.0),
-                            kind=series.kind, units=series.units)
+    return replace(series, values=np.float_power(np.hypot(v.real, v.imag), 2.0))

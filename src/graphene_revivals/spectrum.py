@@ -82,12 +82,11 @@ def timescales(model: SpectrumModel, n0: int) -> TimeScales:
 
 
 def zb_period_with_gap(model: SpectrumModel, n0: int) -> float:
-    """Interband period when the spectrum carries a gap [s].
+    """Interband period pi*hbar / sqrt(E_{n0}^2 + E_gap^2) [s].
 
-    The interband splitting grows from E_{n0} to sqrt(E_{n0}^2 + E_gap^2),
-    shortening the period to pi*hbar / sqrt(E_{n0}^2 + E_gap^2); reduces to
-    the gapless zitterbewegung period when the gap vanishes. The classical
-    and revival periods are untouched (they are spectrum derivatives).
+    Reduces to the gapless zitterbewegung period when the gap vanishes. Only
+    this period sees the gap: T_cl, T_r and every series use the gapless
+    spectrum, although a gapped spectrum changes them too (README).
     """
     if n0 < 1:
         raise ValueError(f"interband period requires n0 >= 1, got {n0}")

@@ -175,7 +175,7 @@ def test_criterion_5_zitterbewegung():
     resid_series = ObservableSeries(
         grid=TimeGrid(window.t_start + w * window.spacing,
                       window.t_end - w * window.spacing, resid.size),
-        values=resid, kind="jy", units="e*v_F")
+        values=resid)
     late_period = dominant_period(
         resid_series, (resid_series.grid.t_start, resid_series.grid.t_end))
     rel_late = abs(late_period - ts.t_zitterbewegung) / ts.t_zitterbewegung
@@ -195,8 +195,7 @@ def test_criterion_6_broadening():
 
     def damped(gamma_j):
         env = np.exp(-2.0 * gamma_j * grid.times / HBAR)
-        return ObservableSeries(grid=grid, values=jy.values * env,
-                                kind="jy", units=jy.units)
+        return ObservableSeries(grid=grid, values=jy.values * env)
 
     moderate = damped(0.7 * MEV)
     check(failures, station_visible_log(moderate, ts, fraction=0.25),

@@ -47,3 +47,5 @@ def test_library_pass_runs():
     results = library.run_pass(gr, params)
     assert len(results) == 10
     assert len(library.digests(results)) == 10
+    checked = library.check_values(results, [0, 1, 4000], params)
+    assert all(len(classes) == 4 for classes in checked["classes"].values())

@@ -248,7 +248,7 @@ def test_help_exits_0(capsys):
 
 
 @pytest.mark.parametrize("line", ["samples = abc", "si_current = maybe",
-                                  "gamma_steps = 0"])
+                                  "gamma_steps = 0", "gamma_steps = 1"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, line):
     cfg, out = tmp_path / "bad.cfg", tmp_path / "x.csv"
     cfg.write_text(line + "\n")
