@@ -24,15 +24,35 @@ import numpy as np
 # its series uses: the two-band current is a pure sine series and asks for
 # np.sin alone, so no cosine of its large sum-frequency phases is evaluated.
 #
-# Each requested function gets its own phase table and runs on it in place,
-# and the table is freed before the next one is built, so a call holds one
-# T x L float64 table at a time. Reusing one table for cos and sin would
-# need a second table for whichever runs first.
+# The T x L phase table is walked in blocks of whole rows, about
+# BLOCK_ELEMENTS phases each, through three preallocated (rows, L) buffers,
+# so a call holds O(T + BLOCK_ELEMENTS) floats at any grid size and a block
+# stays in cache. Each row is computed on its own, so the output bits do
+# not depend on the block size.
 #
-# The sums over j are einsum contractions, not matrix products: a BLAS
-# gemv splits the sum by thread, so its last bits would depend on the BLAS
-# thread count, and outputs must repeat byte for byte on any machine.
+# Each phase is fl(om_j * t_k), the product np.outer gives, and is reduced
+# mod 2*pi once, before any function sees it: libm's sin and cos switch to a
+# slow large-argument reduction above about 1e8 rad, where the two-band sum
+# frequencies reach 5e8 rad, and one reduction serves both functions of a
+# one-band series. The reduction is Cody-Waite's: k = rint(x / 2pi) and
+# r = x - k*P1 - k*P2 - k*P3 - k*P4 - k*P5, where the parts sum to 2pi to
+# more than 100 bits. P1..P4 have at most 12 significant bits, so for
+# |k| < 2^41 (every phase phase_rounding admits is below 4.5e12 rad) each
+# k*P_i, i <= 4, is exact, and so is each difference, whose operands lie on
+# the grid of ulp(x) or of P_i's last bit and whose result needs fewer than
+# 53 of its bits. Only k*P5 and the last difference round, so r is within
+# eps of x - 2*pi*k; |r| <= pi + eps*|x| <= pi + 1e-3, as x / 2pi rounds
+# before rint.
+#
+# The sums over j are np.add.reduce over each row of w_j * f(r), not a BLAS
+# product: a gemv splits the sum by thread, so its last bits would depend
+# on the BLAS thread count, and outputs must repeat byte for byte on any
+# machine.
 
+BLOCK_ELEMENTS = 1 << 15  # 256 KiB of float64 per buffer
+_TWO_PI_PARTS = tuple(float.fromhex(h) for h in (
+    "0x1.92p+2", "0x1.fb4p-10", "0x1.444p-22", "0x1.68cp-37", "0x1.1a62633145c07p-52"))
+_INV_TWO_PI = 1.0 / (2.0 * math.pi)
 
 PHASE_ROUNDING_LIMIT = 1e-3  # rad
 
@@ -54,31 +74,61 @@ def phase_rounding(max_omega: float, max_time: float) -> float:
     return bound
 
 
-def _weighted_sum(f, weights, omegas, times):
-    """sum_j w_j f(om_j t_k) over one phase table, f evaluated in place."""
-    phases = np.outer(times, omegas)
-    return np.einsum("ij,j->i", f(phases, out=phases), weights)
+def _vector(name, values):
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {values.shape}")
+    return values
 
 
 def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *trigs):
     """(sum_j w_j f(om_j t_k) for f in trigs) over the time grid, f np.cos or np.sin.
 
-    Error model: each phase is fl(om_j * t_k), so against the exact sum at
-    the same float inputs every value is off by
+    Error model: each phase x = fl(om_j * t_k) is reduced to r with
+    |r - (x - 2*pi*k)| <= eps, f(r) is within one ulp (<= eps/2), the
+    product w_j * f(r) rounds once and the L-term sum by at most (L - 1)
+    roundings along any path, so against the exact sums of cos/sin of the
+    same float phases every value is off by
 
-        |err_k| <= eps * (max|om| * max|t| + L) * sum_j |w_j|,
+        |err_k| <= eps * (L + 3) / 2 * sum_j |w_j|
 
-    phase rounding plus the rounding of f and of the L-term sum. Raises
-    ValueError when the largest phase is too large to carry correct digits
-    (see :func:`phase_rounding`).
+    to first order, for weights that are not subnormal. Rounding the phase
+    itself moves it by up to eps/2 * |om_j * t_k|, so against the exact sum
+    at the same float inputs
+
+        |err_k| <= eps * (max|om| * max|t| + L + 3) / 2 * sum_j |w_j|.
+
+    Raises ValueError when an input is not one-dimensional, when weights
+    and omegas differ in length, or when the largest phase is too large to
+    carry correct digits (see :func:`phase_rounding`).
     """
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    omegas = np.ascontiguousarray(omegas, dtype=np.float64)
-    times = np.ascontiguousarray(times, dtype=np.float64)
+    weights = _vector("weights", weights)
+    omegas = _vector("omegas", omegas)
+    times = _vector("times", times)
     if weights.shape != omegas.shape:
         raise ValueError("weights and omegas must have the same length")
-    phase_rounding(np.abs(omegas).max(initial=0.0), np.abs(times).max(initial=0.0))
-    return tuple(_weighted_sum(f, weights, omegas, times) for f in trigs)
+    # the ufunc, not ndarray.max: that method forwards to numpy's Python _amax,
+    # and its first use in a process leaves a 54-byte object in some
+    # processes only, so a first call's tracemalloc peak would not repeat
+    phase_rounding(np.maximum.reduce(np.abs(omegas), initial=0.0),
+                   np.maximum.reduce(np.abs(times), initial=0.0))
+    n_t, n_l = times.size, omegas.size
+    sums = tuple(np.zeros(n_t) for _ in trigs)
+    if n_t == 0 or n_l == 0:
+        return sums
+    rows = min(n_t, max(1, BLOCK_ELEMENTS // n_l))
+    phase, turns, term = (np.empty((rows, n_l)) for _ in range(3))
+    for start in range(0, n_t, rows):
+        t = times[start:start + rows]
+        x, k, f = phase[:t.size], turns[:t.size], term[:t.size]
+        np.multiply(t[:, np.newaxis], omegas, out=x)
+        np.rint(np.multiply(x, _INV_TWO_PI, out=k), out=k)
+        for part in _TWO_PI_PARTS:
+            x -= np.multiply(k, part, out=f)
+        for trig, total in zip(trigs, sums):
+            np.multiply(trig(x, out=f), weights, out=f)
+            np.add.reduce(f, axis=1, out=total[start:start + t.size])
+    return sums
 
 
 # --- normalized Hermite-Gaussian recurrence ---------------------------------

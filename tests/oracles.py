@@ -93,16 +93,35 @@ def exact_trig_sums(weights, omegas, times):
     inputs, rounded once to float64 at the end.
     """
     import mpmath as mp
-    cos_sums, sin_sums = [], []
     with mp.workdps(40):
-        ws = [mp.mpf(float(w)) for w in weights]
         oms = [mp.mpf(float(om)) for om in omegas]
-        for t in times:
-            t = mp.mpf(float(t))
-            phases = [om * t for om in oms]
-            cos_sums.append(float(mp.fsum(w * mp.cos(x) for w, x in zip(ws, phases))))
-            sin_sums.append(float(mp.fsum(w * mp.sin(x) for w, x in zip(ws, phases))))
-    return np.array(cos_sums), np.array(sin_sums)
+        sums = _mp_trig_sums(weights, ([om * mp.mpf(float(t)) for om in oms] for t in times))
+    return tuple(np.array([float(s) for s in column]) for column in sums)
+
+
+def exact_sums_of_phases(weights, phases):
+    """(sum_j w_j cos(x_kj), sum_j w_j sin(x_kj)) for each row x_k of phases, in
+    60-digit mpmath, left unrounded.
+
+    Each float phase is taken as an exact binary value, so these are the
+    exact sums of cos/sin of the phases as given; 60 digits leave over 140
+    bits after reducing a phase of 4.5e12 rad.
+    """
+    import mpmath as mp
+    with mp.workdps(60):
+        return _mp_trig_sums(weights, ([mp.mpf(float(x)) for x in row] for row in phases))
+
+
+def _mp_trig_sums(weights, phase_rows):
+    """Per row of mpf phases, (sum_j w_j cos(x_j), sum_j w_j sin(x_j)) at the
+    caller's mpmath precision."""
+    import mpmath as mp
+    ws = [mp.mpf(float(w)) for w in weights]
+    cos_sums, sin_sums = [], []
+    for xs in phase_rows:
+        cos_sums.append(mp.fsum(w * mp.cos(x) for w, x in zip(ws, xs)))
+        sin_sums.append(mp.fsum(w * mp.sin(x) for w, x in zip(ws, xs)))
+    return cos_sums, sin_sums
 
 
 def peaks_by_walk(values, times, min_prominence: float):

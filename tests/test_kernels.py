@@ -1,18 +1,49 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphene_revivals import PacketSpec, SpectrumModel, _kernels, build_weights, observables
 from graphene_revivals.cli import RunConfig
 
-from oracles import exact_trig_sums
+from oracles import exact_sums_of_phases, exact_trig_sums
 
 
 def test_trig_series_shape_validation():
     with pytest.raises(ValueError):
         _kernels.trig_series(np.ones(3), np.ones(4), np.linspace(0, 1, 5))
+
+
+@pytest.mark.parametrize("weights, omegas, times", [
+    (np.ones((1, 3)), np.ones(3), np.linspace(0, 1, 5)),
+    (np.ones(3), np.ones((3, 1)), np.linspace(0, 1, 5)),
+    (np.ones(3), np.ones(3), np.linspace(0, 1, 6).reshape(2, 3)),
+    (np.ones(3), np.ones(3), 0.5),
+    (1.0, 1.0, np.linspace(0, 1, 5)),
+])
+def test_trig_series_rejects_non_vector_input(weights, omegas, times):
+    # np.outer would flatten a 2-D input and make a scalar time a 1-sample series
+    with pytest.raises(ValueError, match="one-dimensional"):
+        _kernels.trig_series(weights, omegas, times, np.cos)
+
+
+def test_two_pi_parts_split_two_pi_exactly_enough():
+    parts = _kernels._TWO_PI_PARTS
+    with mp.workdps(60):
+        residual = abs(mp.fsum(mp.mpf(p) for p in parts) - 2 * mp.pi)
+        assert residual <= 2 * mp.pi * mp.mpf(2) ** -100
+    # k * P_i is exact while bits(k) + bits(P_i) <= 53, for every k up to the
+    # largest phase phase_rounding admits
+    eps = np.finfo(np.float64).eps
+    max_turns = math.ceil(_kernels.PHASE_ROUNDING_LIMIT / eps / (2.0 * math.pi))
+    for p in parts[:4]:
+        significant_bits = p.as_integer_ratio()[0].bit_length()
+        assert significant_bits <= 12
+        assert max_turns.bit_length() + significant_bits <= 53
 
 
 def test_hermite_sweep_rejects_negative_order():
@@ -70,6 +101,73 @@ def test_trig_series_error_model_against_exact_sums():
         got = _kernels.trig_series(weights, om, t, np.cos, np.sin)
         for g, e in zip(got, exact):
             assert np.abs(g - e).max() <= bound
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(max_phase=st.sampled_from([1e4, 4.7e8, 1e11, 4.4e12]),
+       data=st.data(),
+       weights=st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=1, max_size=8))
+def test_trig_series_against_exact_sums_of_the_same_phases(max_phase, data, weights):
+    # |err_k| <= eps * (L + 3) / 2 * sum|w| against exact cos/sin of the
+    # float phases fl(om * t), at phases up to 4.4e12 rad and negative times;
+    # the model is relative, so weights are normal floats or zero
+    n_l = len(weights)
+    omegas = 1e15 * np.array(data.draw(st.lists(_unit, min_size=n_l, max_size=n_l)))
+    times = max_phase / 1e15 * np.array(data.draw(st.lists(_unit, min_size=1, max_size=8)))
+    weights = np.array(weights)
+    got = _kernels.trig_series(weights, omegas, times, np.cos, np.sin)
+    exact = exact_sums_of_phases(weights, np.multiply.outer(times, omegas))
+    eps = np.finfo(np.float64).eps
+    bound = eps * (n_l + 3) / 2 * np.abs(weights).sum()
+    with mp.workdps(60):
+        for g, e in zip(got, exact):
+            assert max(abs(mp.mpf(float(gk)) - ek) for gk, ek in zip(g, e)) <= bound
+
+
+@pytest.mark.parametrize("n_l", [1, 25, 286])
+def test_trig_series_bits_do_not_depend_on_the_block_size(monkeypatch, n_l):
+    rng = np.random.default_rng(n_l)
+    weights, omegas = rng.random(n_l), 1e15 * rng.uniform(-1, 1, n_l)
+    times = np.linspace(-4e-7, 4.4e-3, 1000)  # phases up to 4.4e12 rad
+    reference = _kernels.trig_series(weights, omegas, times, np.cos, np.sin)
+    # 7 rows and the default 114 rows at L = 286 leave a partial last block
+    for rows in (1, 7, times.size, 2 * times.size):
+        monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", rows * n_l)
+        got = _kernels.trig_series(weights, omegas, times, np.cos, np.sin)
+        for g, r in zip(got, reference):
+            assert g.tobytes() == r.tobytes()
+
+
+def test_trig_series_empty_grid_and_empty_level_set():
+    # T = 0 gives empty sums, L = 0 gives zeros
+    for weights, times in ((np.ones(3), np.array([])), (np.array([]), np.linspace(0, 1, 5))):
+        sums = _kernels.trig_series(weights, weights, times, np.cos, np.sin)
+        assert [s.tobytes() for s in sums] == [np.zeros(times.size).tobytes()] * 2
+
+
+@pytest.mark.parametrize("trigs", [(np.sin,), (np.cos, np.sin)])
+def test_trig_series_memory_grows_by_the_outputs_only(trigs):
+    # the phase blocks have a fixed size, so between T = 2000 and T = 200000
+    # the traced peak grows by the len(trigs) float64 outputs alone
+    rng = np.random.default_rng(5)
+    n_l = 50
+    weights, omegas = rng.random(n_l), rng.random(n_l) * 1e3
+
+    def traced_peak(n_t):
+        times = np.linspace(0.0, 1.0, n_t)
+        _kernels.trig_series(weights, omegas, times, *trigs)  # one-time numpy set-up
+        tracemalloc.start()
+        try:
+            _kernels.trig_series(weights, omegas, times, *trigs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = traced_peak(200000) - traced_peak(2000)
+    assert growth <= len(trigs) * (200000 - 2000) * 8
 
 
 @pytest.mark.parametrize("trigs", [(np.sin,), (np.cos, np.sin)])
