@@ -6,7 +6,7 @@ currents, zitterbewegung, and their degradation under Landau-level broadening.
 from .constants import (E_CHARGE, FERMI_VELOCITY_DEFAULT, HBAR, FieldParams,
                         convert, magnetic_length, omega)
 from .spectrum import (SpectrumModel, TimeScales, landau_energy,
-                       spectrum_derivatives, timescales, zb_period_with_gap)
+                       spectrum_derivatives, timescales)
 from .wavepacket import PacketSpec, WeightTable, build_weights, truncation_range
 from .observables import (BroadeningModel, ObservableSeries, TimeGrid,
                           abs_squared, autocorrelation, current_single_band,
@@ -24,7 +24,7 @@ __all__ = [
     "HBAR", "E_CHARGE", "FERMI_VELOCITY_DEFAULT", "FieldParams",
     "magnetic_length", "omega", "convert",
     "SpectrumModel", "TimeScales", "landau_energy", "spectrum_derivatives",
-    "timescales", "zb_period_with_gap",
+    "timescales",
     "PacketSpec", "WeightTable", "truncation_range", "build_weights",
     "TimeGrid", "ObservableSeries", "BroadeningModel", "autocorrelation",
     "current_single_band", "current_two_band", "currents", "damped",

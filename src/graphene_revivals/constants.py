@@ -7,6 +7,7 @@ results are reported in meV / fs / ps through :func:`convert`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 # CODATA 2018 exact values.
@@ -24,10 +25,12 @@ class FieldParams:
     b_tesla : perpendicular magnetic field [T], must be > 0 (a vanishing
         field gives a continuous spectrum and no discrete-level dynamics).
     v_fermi : Fermi velocity [m/s], > 0.
-    gap_energy : energy gap [J], >= 0. Only zb_period_with_gap reads it;
-        the spectrum, T_cl, T_r and every series stay gapless (README).
+    gap_energy : energy gap [J], >= 0. It enters every level energy, period
+        and series frequency, but not the current weights (README).
 
-    All three must be finite; NaN and infinities raise ValueError.
+    All three must be finite; NaN and infinities raise ValueError. So does
+    a (B, v_F) whose e*B, hbar/(e*B), Omega or hbar*Omega is zero,
+    subnormal or infinite: it would divide by zero or lose digits.
     """
 
     b_tesla: float
@@ -35,15 +38,16 @@ class FieldParams:
     gap_energy: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.b_tesla < math.inf:
-            raise ValueError(
-                f"magnetic field must be positive and finite, got B = {self.b_tesla} T")
-        if not 0.0 < self.v_fermi < math.inf:
-            raise ValueError(
-                f"Fermi velocity must be positive and finite, got {self.v_fermi} m/s")
         if not 0.0 <= self.gap_energy < math.inf:
             raise ValueError(
                 f"gap energy must be non-negative and finite, got {self.gap_energy} J")
+        e_b = E_CHARGE * self.b_tesla
+        tiny = sys.float_info.min  # hbar*Omega normal implies Omega normal
+        if not (tiny <= e_b < math.inf and HBAR / e_b >= tiny
+                and tiny <= HBAR * omega(self) < math.inf):
+            raise ValueError(
+                f"B = {self.b_tesla} T and v_F = {self.v_fermi} m/s must be positive and "
+                "give normal floats e*B, hbar/(e*B), Omega and hbar*Omega")
 
 
 def magnetic_length(params: FieldParams) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._kernels import trig_series
 from .constants import HBAR
-from .spectrum import SpectrumModel
+from .spectrum import SpectrumModel, level_frequencies
 from .wavepacket import PacketSpec, WeightTable, truncation_range
 
 
@@ -77,14 +77,9 @@ def _check_width(gamma: float) -> None:
         raise ValueError(f"broadening must be non-negative and finite, got {gamma} J")
 
 
-def _level_frequencies(table: WeightTable, model: SpectrumModel) -> np.ndarray:
-    """E_n / hbar for the populated levels [rad/s]."""
-    return model.omega * np.sqrt(table.levels.astype(np.float64))
-
-
 def _autocorr_values(table: WeightTable, model: SpectrumModel,
                      times: np.ndarray) -> np.ndarray:
-    om = _level_frequencies(table, model)
+    om = level_frequencies(model, table.levels)
     if table.band_content == "both":
         # e^{-i om t} + e^{+i om t} summed with equal per-band weights
         (cos_part,) = trig_series(table.diag, om, times, np.cos)
@@ -103,16 +98,17 @@ def autocorrelation(table: WeightTable, model: SpectrumModel,
 def max_frequency(spec: PacketSpec, model: SpectrumModel) -> float:
     """Upper bound of |om| over every series term of this packet [rad/s].
 
-    E_{n_max}/hbar bounds the level and intraband transition frequencies;
-    the two-band sum frequencies (E_n + E_{n-1})/hbar stay below twice it.
+    E_{n_max}/hbar, gap included, bounds the level and intraband transition
+    frequencies; the two-band sum frequencies (E_n + E_{n-1})/hbar stay
+    below twice it.
     """
     _, n_max = truncation_range(spec)
-    return (2.0 if spec.bands == "both" else 1.0) * model.omega * math.sqrt(n_max)
+    return (2.0 if spec.bands == "both" else 1.0) * float(level_frequencies(model, n_max))
 
 
 def _transition_frequencies(table, model):
     """((E_n - E_{n-1})/hbar, (E_n + E_{n-1})/hbar) for n = n_min+1..n_max."""
-    om = _level_frequencies(table, model)
+    om = level_frequencies(model, table.levels)
     return om[1:] - om[:-1], om[1:] + om[:-1]
 
 

@@ -1,20 +1,21 @@
 """Landau-level spectrum of Dirac electrons and the derived time scales.
 
-The spectrum E_{n,s} = s * hbar*Omega * sqrt(n) (s = +1 conduction band,
-s = -1 valence band) is strongly anharmonic, so a packet centred on level
-n0 carries three distinct periods, all obtained from the local Taylor
-expansion of E_n around n0:
+The spectrum E_{n,s} = s * sqrt(Delta^2 + n (hbar*Omega)^2) (s = +1 conduction
+band, s = -1 valence band, Delta = FieldParams.gap_energy) is formed here only.
+It is strongly anharmonic, so a packet centred on level n0 carries three
+distinct periods, all from the local Taylor expansion of E_n around n0:
 
     T_cl = 2*pi*hbar / |E'(n0)|    classical cyclotron period
     T_r  = 4*pi*hbar / |E''(n0)|   revival time
     T_zb = pi*hbar / E(n0)         interband (zitterbewegung) period
 
-Their ratios are field-independent: T_r/T_cl = T_cl/T_zb = 4*n0.
+Their ratios are T_r/T_cl = T_cl/T_zb = 4*E(n0)^2/(hbar*Omega)^2 (4*n0 at Delta = 0).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,7 @@ class TimeScales:
 
 
 def landau_energy(model: SpectrumModel, n, s: int):
-    """Energy of Landau level (n, s): s * hbar*Omega * sqrt(n) [J].
+    """Energy of Landau level (n, s): s * hypot(Delta, hbar*Omega * sqrt(n)) [J].
 
     n may be a scalar or an integer array; all entries must be >= 0.
     """
@@ -52,21 +53,32 @@ def landau_energy(model: SpectrumModel, n, s: int):
     n_arr = np.asarray(n)
     if np.any(n_arr < 0):
         raise ValueError("level index n must be non-negative")
-    e = s * HBAR * model.omega * np.sqrt(n_arr)
+    e = s * np.hypot(model.params.gap_energy, HBAR * model.omega * np.sqrt(n_arr))
     return e if n_arr.ndim else float(e)
 
 
-def spectrum_derivatives(model: SpectrumModel, n0: int) -> tuple[float, float]:
-    """First and second derivatives of E_n = hbar*Omega*sqrt(n) at n0.
+def level_frequencies(model: SpectrumModel, n) -> np.ndarray:
+    """E_n / hbar = hypot(Delta/hbar, Omega * sqrt(n)) for levels n >= 0 [rad/s]."""
+    return np.hypot(model.params.gap_energy / HBAR, model.omega * np.sqrt(n))
 
-    Returns (E', E'') in (J per level, J per level^2):
-    E' = hbar*Omega / (2 sqrt(n0)),  E'' = -hbar*Omega / (4 n0^{3/2}).
+
+def spectrum_derivatives(model: SpectrumModel, n0: int) -> tuple[float, float]:
+    """First and second derivatives of E_n at n0, in (J per level, J per level^2):
+
+    E' = (hbar*Omega)^2 / (2 E),  E'' = -(hbar*Omega)^4 / (4 E^3), written as the
+    gapless hbar*Omega / (2 sqrt(n0)) and -hbar*Omega / (4 n0^{3/2}) times r and
+    r^3, r = hbar*Omega*sqrt(n0) / E (exactly 1.0 at Delta = 0). Raises
+    ValueError when E'' underflows (a gap far above hbar*Omega*sqrt(n0)); as
+    |E'| >= 2|E''|, both are otherwise normal and every period finite.
     """
     if n0 < 1:
         raise ValueError(f"derivatives require n0 >= 1 (singular at n = 0), got {n0}")
     e_scale = HBAR * model.omega
-    d1 = e_scale / (2.0 * math.sqrt(n0))
-    d2 = -e_scale / (4.0 * n0 ** 1.5)
+    r = e_scale * math.sqrt(n0) / landau_energy(model, n0, +1)
+    d1 = e_scale / (2.0 * math.sqrt(n0)) * r
+    d2 = -e_scale / (4.0 * n0 ** 1.5) * r ** 3
+    if not abs(d2) >= sys.float_info.min:
+        raise ValueError(f"E''(n0 = {n0}) = {d2!r} J underflows: the gap is too large")
     return d1, d2
 
 
@@ -79,16 +91,3 @@ def timescales(model: SpectrumModel, n0: int) -> TimeScales:
         t_revival=4.0 * math.pi * HBAR / abs(d2),
         t_zitterbewegung=math.pi * HBAR / e_n0,
     )
-
-
-def zb_period_with_gap(model: SpectrumModel, n0: int) -> float:
-    """Interband period pi*hbar / sqrt(E_{n0}^2 + E_gap^2) [s].
-
-    Reduces to the gapless zitterbewegung period when the gap vanishes. Only
-    this period sees the gap: T_cl, T_r and every series use the gapless
-    spectrum, although a gapped spectrum changes them too (README).
-    """
-    if n0 < 1:
-        raise ValueError(f"interband period requires n0 >= 1, got {n0}")
-    e_n0 = landau_energy(model, n0, +1)
-    return math.pi * HBAR / math.hypot(e_n0, model.params.gap_energy)

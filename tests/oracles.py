@@ -72,6 +72,39 @@ def brute_force_currents(offdiag, energies_j, hbar, t: float, s: int):
     return jx, jy
 
 
+def dirac_autocorrelation(table, gap_ratio: float, omega_t):
+    """A(t) = <psi(0)|exp(-i H t / hbar)|psi(0)> by evolving the truncated K1
+    massive Dirac Hamiltonian; returns (A at each omega_t = Omega*t, ||H||_2).
+
+    In units of hbar*Omega, H = -[[0, a], [a^dagger, 0]] + gap_ratio * sigma_z
+    on the ladder basis |m>, m <= n_max + 10, with a|m> = sqrt(m)|m-1>. The
+    basis interleaves lower |m> and upper |m>, so H is tridiagonal. Its
+    eigenvectors come from numpy.linalg.eigh; the packet is
+    sum_n c_n |n, s>, c_n = sqrt(U_nn), for each band s the table holds,
+    where |n, s> is the eigenvector supported on (upper |n-1>, lower |n>)
+    with an energy of sign s. No Landau-level formula and no series kernel
+    is used: the state is evolved as V exp(-i Lambda Omega t) V^T psi(0).
+    """
+    dim = table.n_max + 11
+    h = np.zeros((2 * dim, 2 * dim))
+    m = np.arange(dim - 1)  # index 2m: lower |m>, 2m + 1: upper |m>
+    h[2 * m + 1, 2 * m + 2] = h[2 * m + 2, 2 * m + 1] = -np.sqrt(m + 1.0)
+    h[np.diag_indices(2 * dim)] = np.tile([-gap_ratio, gap_ratio], dim)
+    energies, vectors = np.linalg.eigh(h)
+    sector_weight = np.zeros((dim + 1, 2 * dim))  # row n: upper |n-1> + lower |n>
+    sector_weight[1:] += vectors[1::2] ** 2
+    sector_weight[:dim] += vectors[0::2] ** 2
+    sectors = np.argmax(sector_weight, axis=0)
+    signs = {"positive": (1.0,), "negative": (-1.0,), "both": (1.0, -1.0)}[table.band_content]
+    psi0 = np.zeros(2 * dim)
+    for k, n in enumerate(sectors):
+        if table.n_min <= n <= table.n_max and np.sign(energies[k]) in signs:
+            psi0 += math.sqrt(table.diag[n - table.n_min]) * vectors[:, k]
+    phases = np.exp(-1j * np.multiply.outer(energies, np.asarray(omega_t)))
+    psi_t = vectors @ (phases * (vectors.T @ psi0)[:, np.newaxis])
+    return psi0 @ psi_t, float(np.max(np.abs(energies)))
+
+
 def damped_direct_sum(weights, omegas, gamma, hbar, times, trig):
     """sum_j w_j trig(om_j t) exp(-2 gamma t / hbar), one level at a time.
 

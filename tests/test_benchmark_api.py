@@ -7,12 +7,14 @@ these tests catch that here. They read perfbench/ and change nothing there.
 """
 
 import importlib
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphene_revivals as gr
+import graphene_revivals.cli  # noqa: F401  (checks.py reads gr.cli)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,3 +51,25 @@ def test_library_pass_runs():
     assert len(library.digests(results)) == 10
     checked = library.check_values(results, [0, 1, 4000], params)
     assert all(len(classes) == 4 for classes in checked["classes"].values())
+
+
+@pytest.mark.parametrize("workload", ["default-mix", "long-grid", "wide-band"])
+def test_workload_outputs_pass_the_benchmark_checks(tmp_path, workload):
+    # the checks a benchmark run makes on each output: config echo round-trip
+    # and values against perfbench's own direct sums
+    checks = perfbench_module("checks")
+    for k, inv in enumerate(perfbench_module("workloads").generate(workload, 1)["invocations"]):
+        out = tmp_path / f"{k}.csv"
+        assert gr.cli.main([*inv.argv, "--out", str(out)]) == 0
+        dev = checks.check_cli_output(inv.argv, str(out), random.Random(1), gr)
+        assert dev.failures == [], (inv.argv, dev.failures)
+
+
+def test_library_pass_values_pass_the_benchmark_checks():
+    library, checks = perfbench_module("library"), perfbench_module("checks")
+    params = {"B": 10.0, "n0": 15, "samples": 4001, "gamma_mev": 0.7,
+              "deloc_n0": 11, "deloc_sigma": 40.0, "hermite_order": 100,
+              "hermite_points": 4001, "hermite_half_width": 150.0}
+    rows = [0, 1, 2000, 4000]
+    checked = library.check_values(library.run_pass(gr, params), rows, params)
+    assert checks.check_library(params, checked, rows, gr).failures == []

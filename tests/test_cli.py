@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphene_revivals
 
@@ -420,3 +424,82 @@ def test_gamma_scan_kernel_calls_independent_of_steps(tmp_path, monkeypatch,
     assert counts[2] == counts[6]
     # one series for the scan, one inside estimate_gamma_max
     assert counts[6] <= 2 * per_series
+
+
+def test_gapped_timescales(tmp_path):
+    # the gap enters E(n0) = sqrt(Delta^2 + n0 (hbar Omega)^2) and every period
+    out = tmp_path / "ts.csv"
+    assert run_cli("timescales", "--gap-mev", "445", "--out", str(out)) == 0
+    table = {k: float(v) for k, v in read_csv(out)[2]}
+    hbar_omega_mev = table["hbar_omega_mev"]
+    energy_mev = math.hypot(445.0, hbar_omega_mev * math.sqrt(15))
+    ratio = 4.0 * energy_mev ** 2 / hbar_omega_mev ** 2
+    assert table["t_cl_fs"] == pytest.approx(395.14, abs=0.005)
+    assert table["t_r_ps"] == pytest.approx(47.48, abs=0.005)
+    assert table["t_zb_fs"] == 3.2881275974360498  # the old interband-only formula
+    assert table["t_zb_gap_fs"] == table["t_zb_fs"]
+    assert table["ratio_t_r_over_t_cl"] == pytest.approx(ratio, rel=1e-12)
+    assert table["ratio_t_r_over_t_zb"] == pytest.approx(ratio ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("--gap-mev", "1e300"), None),  # E'' underflows to zero
+    (("--B", "1e-310"), None),       # e*B underflows to zero
+    (("--B", "1e308"), None),        # hbar/(e*B) subnormal
+    ((), "v_f = 1e-320\n"),          # hbar*Omega underflows to zero
+], ids=["gap-1e300", "B-1e-310", "B-1e308", "v_f-1e-320"])
+def test_extreme_field_and_gap_are_config_errors(tmp_path, capsys, argv, config):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = ("--config", str(tmp_path / "run.cfg"))
+    assert run_cli("timescales", *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("graphene-revivals: config error:")
+    assert "Traceback" not in err
+
+
+# main() is driven in-process, so any exception that escapes it fails the
+# test. n0 stays <= 5000 and sigma <= 1e4: truncation_range allocates about
+# n0 + sqrt(sigma) floats, so far larger values ask for gigabytes, and no
+# memory guard refuses them yet (README, "Known issues").
+_EXTREMES = (5e-324, 1e-310, 1e300, math.nan, math.inf, -math.inf, -1.0, 0.0)
+
+
+def _draw(ordinary, extremes=_EXTREMES):
+    return st.one_of(ordinary, st.sampled_from(extremes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["timescales", "autocorr", "current"]),
+       bands=st.sampled_from(["pos", "neg", "both"]),
+       samples=st.integers(2, 64),
+       n0=st.integers(-2, 5000),
+       b=_draw(st.floats(0.1, 100.0)),
+       sigma=_draw(st.floats(0.01, 1e4), tuple(x for x in _EXTREMES if x != 1e300)),
+       gap_mev=_draw(st.floats(0.0, 1e3)),
+       gamma_mev=_draw(st.floats(0.0, 10.0)),
+       t_end_fs=_draw(st.floats(1.0, 1e5)),
+       v_f=_draw(st.floats(1e4, 1e7)))
+def test_main_exits_cleanly_on_any_input(tmp_path_factory, command, bands, samples, n0,
+                                         b, sigma, gap_mev, gamma_mev, t_end_fs, v_f):
+    config = tmp_path_factory.getbasetemp() / "main_property.cfg"
+    config.write_text(f"v_f = {v_f!r}\n")
+    argv = [command, "--config", str(config), "--bands", bands, f"--samples={samples}",
+            f"--n0={n0}", f"--B={b!r}", f"--sigma={sigma!r}", f"--gap-mev={gap_mev!r}",
+            f"--gamma-mev={gamma_mev!r}", f"--t-end-fs={t_end_fs!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("graphene-revivals: "), err.getvalue()
+        return
+    for line in out.getvalue().splitlines():
+        if line.startswith("#"):
+            continue
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # a column or quantity name
+            assert math.isfinite(value), line

@@ -81,3 +81,14 @@ def test_convert_incompatible():
 def test_constants_are_codata_2018():
     assert HBAR == 1.054571817e-34
     assert E_CHARGE == 1.602176634e-19
+
+
+@pytest.mark.parametrize("b, v_f", [
+    (1e-310, 1e6),   # e*B underflows to 0: hbar/(e*B) divided by zero
+    (1e-300, 1e6),   # e*B subnormal: Omega 6.4e-6 off
+    (1e308, 1e6),    # hbar/(e*B) subnormal: Omega 15% off
+    (10.0, 1e-320),  # Omega subnormal, hbar*Omega zero
+])
+def test_field_scales_outside_the_normal_range_rejected(b, v_f):
+    with pytest.raises(ValueError, match="normal floats"):
+        FieldParams(b, v_fermi=v_f)

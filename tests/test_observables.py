@@ -5,17 +5,18 @@ import pytest
 
 from graphene_revivals import (HBAR, BroadeningModel, FieldParams, PacketSpec,
                                SpectrumModel, TimeGrid, abs_squared,
-                               autocorrelation, build_weights,
+                               autocorrelation, build_weights, convert,
                                current_single_band, current_two_band,
-                               currents, damped, landau_energy, timescales,
-                               total_current_both_valleys)
+                               currents, damped, landau_energy, measure_period,
+                               timescales, total_current_both_valleys)
 from graphene_revivals._kernels import phase_rounding
 from graphene_revivals.observables import (_autocorr_values,
                                            _single_band_values,
                                            _two_band_values, max_frequency)
 from graphene_revivals.wavepacket import WeightTable
 
-from oracles import brute_force_autocorr, brute_force_currents, damped_direct_sum
+from oracles import (brute_force_autocorr, brute_force_currents, damped_direct_sum,
+                     dirac_autocorrelation)
 
 
 @pytest.fixture(scope="module")
@@ -295,3 +296,58 @@ def test_widest_perfbench_case_far_below_phase_limit():
     spec = PacketSpec(2050, 400.0, bands="both")
     t_end = 1.1 * timescales(model, 2050).t_revival
     assert phase_rounding(max_frequency(spec, model), t_end) < 1e-6
+
+
+def _gapped_model(gap: str) -> SpectrumModel:
+    """B = 10 T with a 50 meV gap, or a gap equal to hbar*Omega*sqrt(15)."""
+    hbar_omega = HBAR * SpectrumModel(FieldParams(10.0)).omega
+    delta = convert(50.0, "meV", "J") if gap == "50meV" else hbar_omega * math.sqrt(15)
+    return SpectrumModel(FieldParams(10.0, gap_energy=delta))
+
+
+@pytest.mark.parametrize("bands", ["positive", "negative", "both"])
+@pytest.mark.parametrize("gap", ["50meV", "E15"])
+def test_gapped_autocorrelation_matches_hamiltonian_oracle(gap, bands):
+    model = _gapped_model(gap)
+    table = build_weights(PacketSpec(15, 3.0, bands=bands))
+    grid = TimeGrid(0.0, 1.1 * timescales(model, 15).t_revival, 257)
+    got = autocorrelation(table, model, grid).values
+    gap_ratio = model.params.gap_energy / (HBAR * model.omega)
+    want, h_norm = dirac_autocorrelation(table, gap_ratio, model.omega * grid.times)
+    # The |A| weights sum to 1, so |got - want| is at most the largest phase
+    # error plus the summation errors. phi = ||H||_2 * Omega * t_end bounds
+    # every phase on either side. eigh moves each eigenvalue by at most
+    # eps * ||H||_2 (LAPACK's bound); rounding moves a phase by eps/2 * phi
+    # per operation: gap ratio (2) and Omega*t, lambda*(Omega*t) (2) in the
+    # oracle; Delta/hbar, sqrt, Omega*sqrt(n), hypot and omega*t (5) in the
+    # library. The summation terms stay below eps per basis state.
+    eps = np.finfo(np.float64).eps
+    phi = h_norm * model.omega * grid.t_end
+    bound = eps * (phi * (1.0 + 9 / 2) + 2 * (table.n_max + 11))
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@pytest.mark.parametrize("gap", ["50meV", "E15"])
+def test_gapped_current_period_is_gapped_classical_period(gap):
+    # T_cl = 4 pi hbar E / (hbar Omega)^2 with E = sqrt(Delta^2 + n0 (hbar Omega)^2)
+    model = _gapped_model(gap)
+    hbar_omega = HBAR * model.omega
+    energy = math.sqrt(model.params.gap_energy ** 2 + 15 * hbar_omega ** 2)
+    t_cl = 4.0 * math.pi * HBAR * energy / hbar_omega ** 2
+    grid = TimeGrid(0.0, 4.0 * t_cl, 8001)
+    _, jy = current_single_band(build_weights(PacketSpec(15, 3.0)), model, grid, +1)
+    # a ratio: pytest.approx's default abs=1e-12 would pass any period in seconds
+    assert measure_period(jy, (0.0, 4.0 * t_cl)) / t_cl == pytest.approx(1.0, rel=0.02)
+
+
+@pytest.mark.parametrize("gap", ["50meV", "E15"])
+def test_max_frequency_bounds_every_gapped_term(gap):
+    # E_n/hbar from the closed form; it and the library's hypot differ by a
+    # few roundings, hence the 4 eps slack
+    model = _gapped_model(gap)
+    for bands in ("positive", "both"):
+        spec = PacketSpec(15, 3.0, bands=bands)
+        n = build_weights(spec).levels
+        om = np.sqrt(model.params.gap_energy ** 2 + n * (HBAR * model.omega) ** 2) / HBAR
+        top = (om[1:] + om[:-1]).max() if bands == "both" else om.max()
+        assert top <= max_frequency(spec, model) * (1.0 + 4 * np.finfo(np.float64).eps)
