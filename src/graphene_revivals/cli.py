@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 configuration or usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -94,8 +95,6 @@ class RunConfig:
 def _format_value(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
     return str(x)
 
 
@@ -157,41 +156,39 @@ def config_from_output(path: str) -> tuple[str, RunConfig]:
     return command, RunConfig(**parse_config_lines(kv_lines, source=path))
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+_BLOCK_ROWS = 1 << 14  # CSV rows formatted and written at once
 
 
-def _rows(*columns: np.ndarray) -> list[tuple]:
-    """Row tuples of Python floats from equal-length float64 columns."""
-    return list(zip(*(c.tolist() for c in columns)))
+def _render(cfg: RunConfig, command: str, header: list[str], columns: list,
+            trailer=(), out: str | None = None) -> None:
+    """Config echo, a table and trailer lines as CSV or JSON, to out or stdout.
 
-
-def _render(cfg: RunConfig, command: str, columns: list[str],
-            rows: list, trailer: list[str] | None = None,
-            out: str | None = None) -> None:
-    """Config echo, rows and trailer as CSV (numbers %.17g, strings %s) or JSON."""
+    A column is a float64 array or a short sequence of float and str cells. CSV
+    writes numbers %.17g and strings as they are, _BLOCK_ROWS rows at a time,
+    so it holds one block of text; JSON is built whole.
+    """
     config = asdict(cfg)
-    if cfg.format == "csv":
-        lines = [f"# graphene-revivals {command}"]
-        lines += [f"# {k} = {_format_value(v)}" for k, v in config.items()]
-        lines.append(",".join(columns))
-        templates: dict = {}
-        for row in rows:
-            kinds = tuple(map(type, row))
-            if kinds not in templates:
-                templates[kinds] = ",".join("%s" if k is str else "%.17g" for k in kinds)
-            lines.append(templates[kinds] % tuple(row))
-        lines += [f"# {t}" for t in trailer or ()]
-        _write("\n".join(lines) + "\n", out)
-    else:
-        doc = {"command": command, "config": config, "columns": columns, "rows": rows}
-        if trailer:
-            doc["trailer"] = trailer
-        _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else open(out, "w", encoding="utf-8", newline="\n")) as fh:
+        if cfg.format == "json":
+            rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                              for c in columns)))
+            doc = {"command": command, "config": config, "columns": header, "rows": rows}
+            if trailer:
+                doc["trailer"] = trailer
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            return
+        fh.write(f"# graphene-revivals {command}\n")
+        fh.writelines(f"# {k} = {_format_value(v)}\n" for k, v in config.items())
+        fh.write(",".join(header) + "\n")
+        columns = [c if isinstance(c, np.ndarray) else np.array(
+            [v if isinstance(v, str) else "%.17g" % v for v in c], dtype=object)
+            for c in columns]
+        line = ",".join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
+        for i in range(0, len(columns[0]), _BLOCK_ROWS):
+            rows = zip(*(c[i:i + _BLOCK_ROWS].tolist() for c in columns))
+            fh.write("".join(map(line.__mod__, rows)))
+        fh.writelines(f"# {t}\n" for t in trailer)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -209,16 +206,16 @@ def cmd_timescales(cfg: RunConfig, out: str | None) -> None:
         ("hbar_omega_mev", convert(model.omega, "rad/s", "meV")),
         ("magnetic_length_nm", magnetic_length(cfg.field_params()) * 1e9),
     ]
-    _render(cfg, "timescales", ["quantity", "value"], entries, out=out)
+    _render(cfg, "timescales", ["quantity", "value"], list(zip(*entries)), out=out)
 
 
 def cmd_autocorr(cfg: RunConfig, out: str | None) -> None:
     model = SpectrumModel(cfg.field_params())
     table = build_weights(cfg.packet_spec())
     series = autocorrelation(table, model, cfg.time_grid())
-    rows = _rows(convert(series.grid.times, "s", "fs"), series.values.real,
-                 series.values.imag, abs_squared(series).values)
-    _render(cfg, "autocorr", ["t_fs", "re_A", "im_A", "abs2_A"], rows, out=out)
+    columns = [convert(series.grid.times, "s", "fs"), series.values.real,
+               series.values.imag, abs_squared(series).values]
+    _render(cfg, "autocorr", ["t_fs", "re_A", "im_A", "abs2_A"], columns, out=out)
 
 
 def _undamped_currents(cfg: RunConfig):
@@ -235,8 +232,8 @@ def _observed(cfg: RunConfig, series, gamma_mev: float):
 def cmd_current(cfg: RunConfig, out: str | None) -> None:
     jx, jy = (_observed(cfg, j, cfg.gamma_mev) for j in _undamped_currents(cfg))
     scale = E_CHARGE * cfg.v_f if cfg.si_current else 1.0
-    rows = _rows(convert(jx.grid.times, "s", "fs"), scale * jx.values, scale * jy.values)
-    _render(cfg, "current", ["t_fs", "jx_evf", "jy_evf"], rows, out=out)
+    columns = [convert(jx.grid.times, "s", "fs"), scale * jx.values, scale * jy.values]
+    _render(cfg, "current", ["t_fs", "jx_evf", "jy_evf"], columns, out=out)
 
 
 def cmd_gamma_scan(cfg: RunConfig, out: str | None) -> None:
@@ -244,9 +241,9 @@ def cmd_gamma_scan(cfg: RunConfig, out: str | None) -> None:
     scales = timescales(model, cfg.n0)
     gammas = [0.0] if cfg.gamma_mev == 0.0 else np.linspace(
         0.0, cfg.gamma_mev, cfg.gamma_steps).tolist()
-    columns = ["gamma_mev"]
+    header = ["gamma_mev"]
     for tag in ("quarter", "half", "three_quarter", "full"):
-        columns += [f"{tag}_class", f"{tag}_peak"]
+        header += [f"{tag}_class", f"{tag}_peak"]
     _, jy = _undamped_currents(cfg)
     rows = []
     for g in gammas:
@@ -258,7 +255,7 @@ def cmd_gamma_scan(cfg: RunConfig, out: str | None) -> None:
         rows.append(row)
     gamma_max = estimate_gamma_max(cfg.packet_spec(), cfg.field_params())
     trailer = [f"gamma_max_mev = {_format_value(convert(gamma_max, 'J', 'meV'))}"]
-    _render(cfg, "gamma-scan", columns, rows, trailer=trailer, out=out)
+    _render(cfg, "gamma-scan", header, list(zip(*rows)), trailer=trailer, out=out)
 
 
 # --- argument parsing --------------------------------------------------------

@@ -103,7 +103,8 @@ def max_frequency(spec: PacketSpec, model: SpectrumModel) -> float:
     below twice it.
     """
     _, n_max = truncation_range(spec)
-    return (2.0 if spec.bands == "both" else 1.0) * float(level_frequencies(model, n_max))
+    with np.errstate(over="ignore"):  # a bound past the largest double is inf
+        return (2.0 if spec.bands == "both" else 1.0) * float(level_frequencies(model, n_max))
 
 
 def _transition_frequencies(table, model):

@@ -99,7 +99,8 @@ def truncation_range(spec: PacketSpec) -> tuple[int, int]:
     # upper bound on the half-width: Gaussian tail estimate plus slack
     k_cap = int(math.ceil(math.sqrt(2.0 * sigma * math.log(1.0 / tol)))) + 2
     n = np.arange(0, n0 + k_cap + 1)
-    g = np.exp(-((n - n0) ** 2) / (2.0 * sigma))
+    with np.errstate(over="ignore"):  # at tiny sigma the exponent is -inf: g_n = 0
+        g = np.exp(-((n - n0) ** 2) / (2.0 * sigma))
     total = g.sum()
     for k in range(k_cap + 1):
         inside = g[max(0, n0 - k):n0 + k + 1].sum()
@@ -118,7 +119,8 @@ def build_weights(spec: PacketSpec) -> WeightTable:
     """
     n_min, n_max = truncation_range(spec)
     n = np.arange(n_min, n_max + 1)
-    g = np.exp(-((n - spec.n0) ** 2) / (2.0 * spec.sigma))
+    with np.errstate(over="ignore"):  # as in truncation_range
+        g = np.exp(-((n - spec.n0) ** 2) / (2.0 * spec.sigma))
     pop = g * g
     norm = pop.sum() * (2.0 if spec.bands == "both" else 1.0)
     diag = pop / norm

@@ -194,7 +194,7 @@ def _prominence_by_walk(v, p: int) -> float:
     while i < v.size and v[i] <= v[p]:
         right_min = min(right_min, v[i])
         i += 1
-    return float(v[p] - max(left_min, right_min))
+    return float(v[p]) - float(max(left_min, right_min))  # inf, as a float, on overflow
 
 
 def autocorr_lines_by_value(t_fs, values):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
@@ -73,8 +73,8 @@ def test_find_peaks_against_scipy_oracle():
     mine = find_peaks(series_of(v, t_end=399.0), 0.0)
     idx_scipy, _ = signal.find_peaks(v)
     prom_scipy = signal.peak_prominences(v, idx_scipy)[0]
-    assert [p.time for p in mine] == pytest.approx(list(idx_scipy.astype(float)))
-    assert [p.prominence for p in mine] == pytest.approx(list(prom_scipy), rel=1e-12)
+    assert [p.time for p in mine] == pytest.approx(list(idx_scipy.astype(float)), abs=0)
+    assert [p.prominence for p in mine] == pytest.approx(list(prom_scipy), rel=1e-12, abs=0)
     # three-point dominance and time ordering
     for p in mine:
         i = int(round(p.time))
@@ -140,6 +140,7 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 @given(values=st.one_of(st.lists(_small_ints, min_size=3, max_size=60),
                         st.lists(_finite, min_size=3, max_size=60)),
        min_prominence=st.floats(0.0, 4.0))
+@example(values=[-1e292, 1.7976931348623157e308, -1e292], min_prominence=0.0)  # inf
 def test_find_peaks_equals_walk_property(values, min_prominence):
     assert_matches_walk(np.asarray(values), min_prominence)
 
@@ -268,8 +269,8 @@ def test_period_of_pure_sine():
     t = np.linspace(0.0, t_end, 4001)
     series = series_of(np.sin(2 * np.pi * t / period), t_end=t_end)
     est = measure_period(series, (0.0, t_end))
-    assert est == pytest.approx(period, rel=1e-3)
-    assert dominant_period(series, (0.0, t_end)) == pytest.approx(period, rel=5e-3)
+    assert est == pytest.approx(period, rel=1e-3, abs=0)
+    assert dominant_period(series, (0.0, t_end)) == pytest.approx(period, rel=5e-3, abs=0)
 
 
 def test_period_needs_crossings():
@@ -285,7 +286,7 @@ def test_classical_period_of_current(model10):
     grid = TimeGrid(0.0, 1.2e-12, 8001)
     _, jy = current_single_band(table, model10, grid, +1)
     est = measure_period(jy, (0.0, 1.2e-12))
-    assert est == pytest.approx(ts.t_classical, rel=0.02)
+    assert est == pytest.approx(ts.t_classical, rel=0.02, abs=0)
 
 
 # --- width limit ---------------------------------------------------------------

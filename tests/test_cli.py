@@ -5,9 +5,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from graphene_revivals import (E_CHARGE, BroadeningModel, FieldParams,
                                autocorrelation, build_weights, convert,
                                currents, damped, observables, timescales,
                                total_current_both_valleys)
+from graphene_revivals import cli
 from graphene_revivals.cli import (RunConfig, config_from_output, main,
                                    parse_config_lines)
 
@@ -54,14 +57,16 @@ def test_timescales_csv(tmp_path):
     table = {k: float(v) for k, v in rows}
     model = SpectrumModel(FieldParams(10.0))
     ts = timescales(model, 15)
-    assert table["t_cl_fs"] == pytest.approx(convert(ts.t_classical, "s", "fs"), rel=1e-12)
-    assert table["t_r_ps"] == pytest.approx(convert(ts.t_revival, "s", "ps"), rel=1e-12)
-    assert table["t_zb_fs"] == pytest.approx(convert(ts.t_zitterbewegung, "s", "fs"), rel=1e-12)
-    assert table["t_zb_gap_fs"] == pytest.approx(table["t_zb_fs"], rel=1e-12)
-    assert table["ratio_t_r_over_t_cl"] == pytest.approx(60.0, rel=1e-12)
-    assert table["ratio_t_r_over_t_zb"] == pytest.approx(3600.0, rel=1e-12)
-    assert table["hbar_omega_mev"] == pytest.approx(114.73551817528936, rel=1e-12)
-    assert table["magnetic_length_nm"] == pytest.approx(8.113026294469947, rel=1e-12)
+    assert table["t_cl_fs"] == pytest.approx(
+        convert(ts.t_classical, "s", "fs"), rel=1e-12, abs=0)
+    assert table["t_r_ps"] == pytest.approx(convert(ts.t_revival, "s", "ps"), rel=1e-12, abs=0)
+    assert table["t_zb_fs"] == pytest.approx(
+        convert(ts.t_zitterbewegung, "s", "fs"), rel=1e-12, abs=0)
+    assert table["t_zb_gap_fs"] == pytest.approx(table["t_zb_fs"], rel=1e-12, abs=0)
+    assert table["ratio_t_r_over_t_cl"] == pytest.approx(60.0, rel=1e-12, abs=0)
+    assert table["ratio_t_r_over_t_zb"] == pytest.approx(3600.0, rel=1e-12, abs=0)
+    assert table["hbar_omega_mev"] == pytest.approx(114.73551817528936, rel=1e-12, abs=0)
+    assert table["magnetic_length_nm"] == pytest.approx(8.113026294469947, rel=1e-12, abs=0)
 
 
 def test_timescales_field_scaling(tmp_path):
@@ -72,7 +77,7 @@ def test_timescales_field_scaling(tmp_path):
         _, _, rows, _ = read_csv(out)
         vals[b] = {k: float(v) for k, v in rows}
     for key in ("t_cl_fs", "t_r_ps", "t_zb_fs"):
-        assert vals["40"][key] == pytest.approx(vals["10"][key] / 2, rel=1e-12)
+        assert vals["40"][key] == pytest.approx(vals["10"][key] / 2, rel=1e-12, abs=0)
 
 
 def test_timescales_json(tmp_path):
@@ -83,7 +88,7 @@ def test_timescales_json(tmp_path):
     assert doc["command"] == "timescales"
     assert doc["config"]["n0"] == 11
     table = {k: v for k, v in doc["rows"]}
-    assert table["ratio_t_r_over_t_cl"] == pytest.approx(44.0, rel=1e-12)
+    assert table["ratio_t_r_over_t_cl"] == pytest.approx(44.0, rel=1e-12, abs=0)
 
 
 def test_autocorr_first_row_is_unity(tmp_path):
@@ -144,11 +149,17 @@ def test_import_loads_no_test_only_dependency():
      "--gamma-mev", "1.5"),
     ("current", "--bands", "both", "--gamma-mev", "0.7"),
 ])
-def test_cells_match_scalar_definition(tmp_path, argv):
+def test_cells_match_scalar_definition(tmp_path, monkeypatch, argv):
     # every data cell equals the per-value definition, bit for bit:
-    # abs2_A is the scalar abs(v) ** 2, every number is formatted .17g
+    # abs2_A is the scalar abs(v) ** 2, every number is formatted .17g;
+    # and the bytes do not depend on how many rows the writer formats at once
     out = tmp_path / "s.csv"
-    assert run_cli(*argv, "--samples", "300", "--out", str(out)) == 0
+    written = set()
+    for block_rows in (1, 7, 300):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        assert run_cli(*argv, "--samples", "300", "--out", str(out)) == 0
+        written.add(out.read_bytes())
+    assert len(written) == 1
     command, cfg = config_from_output(str(out))
     model, grid = SpectrumModel(cfg.field_params()), cfg.time_grid()
     table = build_weights(cfg.packet_spec())
@@ -165,6 +176,51 @@ def test_cells_match_scalar_definition(tmp_path, argv):
     got = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
     assert len(got) == 300
     assert got == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("timescales",),
+    ("gamma-scan", "--gamma-mev", "4"),       # absent stations: empty peak cells
+    ("gamma-scan", "--gamma-mev", "1e300"),   # every broadened row absent
+])
+def test_csv_cells_match_json_rows(tmp_path, argv):
+    # a CSV cell is its JSON cell written .17g, or as it is for a string
+    csv, js = tmp_path / "t.csv", tmp_path / "t.json"
+    assert run_cli(*argv, "--out", str(csv)) == 0
+    assert run_cli(*argv, "--format", "json", "--out", str(js)) == 0
+    _, columns, rows, _ = read_csv(csv)
+    doc = json.loads(js.read_text())
+    assert doc["columns"] == columns
+    assert rows == [[v if isinstance(v, str) else "%.17g" % v for v in row]
+                    for row in doc["rows"]]
+    assert any("" in row for row in rows) == (argv[0] == "gamma-scan")
+
+
+def test_csv_writer_holds_one_block(tmp_path):
+    # the CSV writer keeps one block of rows alive, not the whole table: its
+    # traced peak must not grow with the row count
+    rng = np.random.default_rng(7)
+    peaks = []
+    for n in (20_000, 200_000):
+        columns = list(rng.random((4, n)))
+        tracemalloc.start()
+        try:
+            cli._render(RunConfig(), "autocorr", ["a", "b", "c", "d"], columns,
+                        out=str(tmp_path / "t.csv"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1e6, peaks
+
+
+def test_tiny_sigma_runs_without_warning():
+    # (n - n0)^2 / (2 sigma) overflows to inf; exp(-inf) is the right weight 0,
+    # and the overflow is no reason to print anything
+    done = run_python("-m", "graphene_revivals.cli", "autocorr", "--sigma", "5e-324",
+                      "--samples", "4")
+    assert done.stderr == ""
+    _, re_a, _, abs2_a = done.stdout.splitlines()[-1].split(",")
+    assert re_a == abs2_a == "1"  # one level: |A(t)|^2 = 1
 
 
 def test_current_two_band_jx_zero(tmp_path):
@@ -185,8 +241,8 @@ def test_valley_doubling_in_cli(tmp_path):
     _, _, rows1, _ = read_csv(f1)
     _, _, rows2, _ = read_csv(f2)
     for r1, r2 in zip(rows1, rows2):
-        assert float(r2[1]) == pytest.approx(2 * float(r1[1]), rel=1e-15)
-        assert float(r2[2]) == pytest.approx(2 * float(r1[2]), rel=1e-15)
+        assert float(r2[1]) == pytest.approx(2 * float(r1[1]), rel=1e-15, abs=0)
+        assert float(r2[2]) == pytest.approx(2 * float(r1[2]), rel=1e-15, abs=0)
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -438,8 +494,8 @@ def test_gapped_timescales(tmp_path):
     assert table["t_r_ps"] == pytest.approx(47.48, abs=0.005)
     assert table["t_zb_fs"] == 3.2881275974360498  # the old interband-only formula
     assert table["t_zb_gap_fs"] == table["t_zb_fs"]
-    assert table["ratio_t_r_over_t_cl"] == pytest.approx(ratio, rel=1e-12)
-    assert table["ratio_t_r_over_t_zb"] == pytest.approx(ratio ** 2, rel=1e-12)
+    assert table["ratio_t_r_over_t_cl"] == pytest.approx(ratio, rel=1e-12, abs=0)
+    assert table["ratio_t_r_over_t_zb"] == pytest.approx(ratio ** 2, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -447,7 +503,8 @@ def test_gapped_timescales(tmp_path):
     (("--B", "1e-310"), None),       # e*B underflows to zero
     (("--B", "1e308"), None),        # hbar/(e*B) subnormal
     ((), "v_f = 1e-320\n"),          # hbar*Omega underflows to zero
-], ids=["gap-1e300", "B-1e-310", "B-1e308", "v_f-1e-320"])
+    ((), "v_f = 1e300\nB = 1.0\n"),  # Omega * sqrt(n_max) overflows to inf
+], ids=["gap-1e300", "B-1e-310", "B-1e308", "v_f-1e-320", "v_f-1e300"])
 def test_extreme_field_and_gap_are_config_errors(tmp_path, capsys, argv, config):
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)

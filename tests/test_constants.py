@@ -12,17 +12,18 @@ HBAR_OMEGA_10T_MEV = 114.73551817528936
 
 
 def test_magnetic_length_value():
-    assert magnetic_length(FieldParams(10.0)) == pytest.approx(L_10T, rel=1e-13)
+    assert magnetic_length(FieldParams(10.0)) == pytest.approx(L_10T, rel=1e-13, abs=0)
     # coarse sanity figure
-    assert magnetic_length(FieldParams(10.0)) == pytest.approx(8.11e-9, rel=1e-3)
+    assert magnetic_length(FieldParams(10.0)) == pytest.approx(8.11e-9, rel=1e-3, abs=0)
 
 
 def test_magnetic_length_scaling():
     l10 = magnetic_length(FieldParams(10.0))
-    assert magnetic_length(FieldParams(40.0)) == pytest.approx(l10 / 2, rel=1e-13)
+    assert magnetic_length(FieldParams(40.0)) == pytest.approx(l10 / 2, rel=1e-13, abs=0)
     ref = l10 * math.sqrt(10.0)
     for b in (1.0, 5.0, 10.0, 40.0):
-        assert magnetic_length(FieldParams(b)) * math.sqrt(b) == pytest.approx(ref, rel=1e-12)
+        assert magnetic_length(FieldParams(b)) * math.sqrt(b) == pytest.approx(
+            ref, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("b", [0.0, -2.5])
@@ -39,34 +40,35 @@ def test_field_params_validation():
 
 
 def test_omega_value():
-    assert omega(FieldParams(10.0)) == pytest.approx(OMEGA_10T, rel=1e-13)
+    assert omega(FieldParams(10.0)) == pytest.approx(OMEGA_10T, rel=1e-13, abs=0)
 
 
 def test_omega_scaling():
     om = omega(FieldParams(10.0))
-    assert omega(FieldParams(40.0)) == pytest.approx(2 * om, rel=1e-13)
-    assert omega(FieldParams(10.0, v_fermi=2e6)) == pytest.approx(2 * om, rel=1e-13)
+    assert omega(FieldParams(40.0)) == pytest.approx(2 * om, rel=1e-13, abs=0)
+    assert omega(FieldParams(10.0, v_fermi=2e6)) == pytest.approx(2 * om, rel=1e-13, abs=0)
 
 
 def test_convert_definitions():
     assert convert(1.0, "meV", "J") == E_CHARGE * 1e-3
-    assert convert(1.0, "meV", "J") == pytest.approx(1.602176634e-22, rel=1e-15)
-    assert convert(17.0, "ps", "s") == pytest.approx(1.7e-11, rel=1e-15)
+    assert convert(1.0, "meV", "J") == pytest.approx(1.602176634e-22, rel=1e-15, abs=0)
+    assert convert(17.0, "ps", "s") == pytest.approx(1.7e-11, rel=1e-15, abs=0)
     assert convert(1.0, "fs", "s") == 1e-15
 
 
 def test_convert_energy_frequency_bridge():
     om = omega(FieldParams(10.0))
-    assert convert(om, "rad/s", "meV") == pytest.approx(HBAR_OMEGA_10T_MEV, rel=1e-13)
-    assert convert(om, "rad/s", "meV") == pytest.approx(114.8, rel=1e-3)
-    assert convert(1.0, "meV", "rad/s") == pytest.approx(1.602176634e-22 / HBAR, rel=1e-14)
+    assert convert(om, "rad/s", "meV") == pytest.approx(HBAR_OMEGA_10T_MEV, rel=1e-13, abs=0)
+    assert convert(om, "rad/s", "meV") == pytest.approx(114.8, rel=1e-3, abs=0)
+    assert convert(1.0, "meV", "rad/s") == pytest.approx(
+        1.602176634e-22 / HBAR, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("a,b", [("J", "meV"), ("s", "fs"), ("s", "ps"),
                                  ("fs", "ps"), ("J", "rad/s"), ("meV", "rad/s")])
 def test_convert_round_trip(a, b):
     for x in (1.0, 3.7e-3, 279.0, 1.055e-34):
-        assert convert(convert(x, a, b), b, a) == pytest.approx(x, rel=1e-14)
+        assert convert(convert(x, a, b), b, a) == pytest.approx(x, rel=1e-14, abs=0)
 
 
 def test_convert_incompatible():

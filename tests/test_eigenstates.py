@@ -12,8 +12,8 @@ XI_GRID = np.linspace(-8.0, 8.0, 161)
 
 
 def test_ground_state_value():
-    assert hermite_function(0, 0.0) == pytest.approx(math.pi ** -0.25, rel=1e-14)
-    assert hermite_function(0, 0.0) == pytest.approx(0.7511, rel=1e-3)
+    assert hermite_function(0, 0.0) == pytest.approx(math.pi ** -0.25, rel=1e-14, abs=0)
+    assert hermite_function(0, 0.0) == pytest.approx(0.7511, rel=1e-3, abs=0)
 
 
 def test_first_excited_is_odd():
@@ -84,7 +84,7 @@ def test_forbidden_region_against_mpmath():
 
     with mp.workdps(50):
         for n, x in [(754, 38.6), (1000, 40.0), (200, 25.0), (50, 3.0)]:
-            assert hermite_function(n, x) == pytest.approx(exact(n, x), rel=1e-9)
+            assert hermite_function(n, x) == pytest.approx(exact(n, x), rel=1e-9, abs=0)
 
 
 def test_stable_at_high_order():

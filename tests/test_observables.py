@@ -337,7 +337,7 @@ def test_gapped_current_period_is_gapped_classical_period(gap):
     grid = TimeGrid(0.0, 4.0 * t_cl, 8001)
     _, jy = current_single_band(build_weights(PacketSpec(15, 3.0)), model, grid, +1)
     # a ratio: pytest.approx's default abs=1e-12 would pass any period in seconds
-    assert measure_period(jy, (0.0, 4.0 * t_cl)) / t_cl == pytest.approx(1.0, rel=0.02)
+    assert measure_period(jy, (0.0, 4.0 * t_cl)) / t_cl == pytest.approx(1.0, rel=0.02, abs=0)
 
 
 @pytest.mark.parametrize("gap", ["50meV", "E15"])

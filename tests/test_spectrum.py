@@ -15,13 +15,13 @@ def test_zero_level_energy(model10):
 
 def test_first_level_energy(model10):
     e1 = landau_energy(model10, 1, +1)
-    assert convert(e1, "J", "meV") == pytest.approx(114.73551817528936, rel=1e-13)
-    assert convert(e1, "J", "meV") == pytest.approx(114.8, rel=1e-3)
+    assert convert(e1, "J", "meV") == pytest.approx(114.73551817528936, rel=1e-13, abs=0)
+    assert convert(e1, "J", "meV") == pytest.approx(114.8, rel=1e-3, abs=0)
 
 
 def test_band_antisymmetry(model10):
     e1 = landau_energy(model10, 1, +1)
-    assert landau_energy(model10, 4, -1) == pytest.approx(-2 * e1, rel=1e-14)
+    assert landau_energy(model10, 4, -1) == pytest.approx(-2 * e1, rel=1e-14, abs=0)
     for n in (0, 1, 2, 7, 50):
         assert landau_energy(model10, n, -1) == -landau_energy(model10, n, +1)
 
@@ -29,7 +29,7 @@ def test_band_antisymmetry(model10):
 def test_energy_array_input(model10):
     n = np.array([0, 1, 4, 9])
     e = landau_energy(model10, n, +1)
-    assert e == pytest.approx(HBAR * model10.omega * np.array([0, 1, 2, 3]), rel=1e-14)
+    assert e == pytest.approx(HBAR * model10.omega * np.array([0, 1, 2, 3]), rel=1e-14, abs=0)
 
 
 def test_energy_validation(model10):
@@ -42,8 +42,8 @@ def test_energy_validation(model10):
 def test_derivatives_at_n0_1(model10):
     d1, d2 = spectrum_derivatives(model10, 1)
     scale = HBAR * model10.omega
-    assert d1 == pytest.approx(scale / 2, rel=1e-14)
-    assert d2 == pytest.approx(-scale / 4, rel=1e-14)
+    assert d1 == pytest.approx(scale / 2, rel=1e-14, abs=0)
+    assert d2 == pytest.approx(-scale / 4, rel=1e-14, abs=0)
 
 
 def test_derivatives_reject_n0_0(model10):
@@ -58,21 +58,24 @@ def test_second_derivative_vs_finite_difference(model10):
     d1, d2 = spectrum_derivatives(model10, 15)
     e = [landau_energy(model10, n, +1) for n in (14, 15, 16)]
     fd = e[2] - 2 * e[1] + e[0]
-    assert d2 == pytest.approx(fd, rel=5e-3)
+    assert d2 == pytest.approx(fd, rel=5e-3, abs=0)
 
 
 @pytest.mark.parametrize("n0", [10, 15, 50, 200])
 def test_first_derivative_vs_central_difference(model10, n0):
     d1, _ = spectrum_derivatives(model10, n0)
     fd = (landau_energy(model10, n0 + 1, +1) - landau_energy(model10, n0 - 1, +1)) / 2
-    assert d1 == pytest.approx(fd, rel=1e-2)
+    assert d1 == pytest.approx(fd, rel=1e-2, abs=0)
 
 
 def test_timescale_values(model10):
     ts = timescales(model10, 15)
-    assert convert(ts.t_classical, "s", "fs") == pytest.approx(279.20512079527276, rel=1e-12)
-    assert convert(ts.t_revival, "s", "ps") == pytest.approx(16.752307247716363, rel=1e-12)
-    assert convert(ts.t_zitterbewegung, "s", "fs") == pytest.approx(4.653418679921212, rel=1e-12)
+    assert convert(ts.t_classical, "s", "fs") == pytest.approx(
+        279.20512079527276, rel=1e-12, abs=0)
+    assert convert(ts.t_revival, "s", "ps") == pytest.approx(
+        16.752307247716363, rel=1e-12, abs=0)
+    assert convert(ts.t_zitterbewegung, "s", "fs") == pytest.approx(
+        4.653418679921212, rel=1e-12, abs=0)
 
 
 def test_timescale_ordering(model10):
@@ -84,18 +87,18 @@ def test_timescale_ordering(model10):
 @pytest.mark.parametrize("n0", [1, 2, 5, 11, 15, 50])
 def test_ratio_identities(model10, n0):
     ts = timescales(model10, n0)
-    assert ts.t_revival / ts.t_classical == pytest.approx(4 * n0, rel=1e-12)
-    assert ts.t_classical / ts.t_zitterbewegung == pytest.approx(4 * n0, rel=1e-12)
-    assert ts.t_revival / ts.t_zitterbewegung == pytest.approx(16 * n0 ** 2, rel=1e-12)
+    assert ts.t_revival / ts.t_classical == pytest.approx(4 * n0, rel=1e-12, abs=0)
+    assert ts.t_classical / ts.t_zitterbewegung == pytest.approx(4 * n0, rel=1e-12, abs=0)
+    assert ts.t_revival / ts.t_zitterbewegung == pytest.approx(16 * n0 ** 2, rel=1e-12, abs=0)
 
 
 def test_field_scaling_of_timescales():
     # all periods scale as 1/sqrt(B)
     ts_b = timescales(SpectrumModel(FieldParams(10.0)), 15)
     ts_4b = timescales(SpectrumModel(FieldParams(40.0)), 15)
-    assert ts_4b.t_classical == pytest.approx(ts_b.t_classical / 2, rel=1e-12)
-    assert ts_4b.t_revival == pytest.approx(ts_b.t_revival / 2, rel=1e-12)
-    assert ts_4b.t_zitterbewegung == pytest.approx(ts_b.t_zitterbewegung / 2, rel=1e-12)
+    assert ts_4b.t_classical == pytest.approx(ts_b.t_classical / 2, rel=1e-12, abs=0)
+    assert ts_4b.t_revival == pytest.approx(ts_b.t_revival / 2, rel=1e-12, abs=0)
+    assert ts_4b.t_zitterbewegung == pytest.approx(ts_b.t_zitterbewegung / 2, rel=1e-12, abs=0)
 
 
 def test_gap_free_reduction(model10):
@@ -118,7 +121,7 @@ def test_gap_equal_to_level_energy():
     gapped = SpectrumModel(FieldParams(10.0, gap_energy=e15))
     ts = timescales(model, 15)
     assert timescales(gapped, 15).t_zitterbewegung == pytest.approx(
-        ts.t_zitterbewegung / math.sqrt(2), rel=1e-14)
+        ts.t_zitterbewegung / math.sqrt(2), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("b", [0.37, 10.0, 73.0])
@@ -147,8 +150,8 @@ def test_gapped_ratio_identities(gap, n0):
     model = SpectrumModel(FieldParams(10.0, gap_energy=gap))
     ts = timescales(model, n0)
     ratio = 4.0 * (gap ** 2 / (HBAR * model.omega) ** 2 + n0)
-    assert ts.t_revival / ts.t_classical == pytest.approx(ratio, rel=1e-12)
-    assert ts.t_classical / ts.t_zitterbewegung == pytest.approx(ratio, rel=1e-12)
+    assert ts.t_revival / ts.t_classical == pytest.approx(ratio, rel=1e-12, abs=0)
+    assert ts.t_classical / ts.t_zitterbewegung == pytest.approx(ratio, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("gap", _gaps()[1:])
@@ -156,8 +159,8 @@ def test_gapped_derivatives_vs_central_difference(gap):
     model = SpectrumModel(FieldParams(10.0, gap_energy=gap))
     d1, d2 = spectrum_derivatives(model, 15)
     e = [landau_energy(model, n, +1) for n in (14, 15, 16)]
-    assert d1 / ((e[2] - e[0]) / 2) == pytest.approx(1.0, rel=1e-2)
-    assert d2 / (e[2] - 2 * e[1] + e[0]) == pytest.approx(1.0, rel=5e-3)
+    assert d1 / ((e[2] - e[0]) / 2) == pytest.approx(1.0, rel=1e-2, abs=0)
+    assert d2 / (e[2] - 2 * e[1] + e[0]) == pytest.approx(1.0, rel=5e-3, abs=0)
 
 
 @pytest.mark.parametrize("gap_over_e15", [30.0, 1e3, 1e6])

@@ -64,7 +64,7 @@ def test_offdiag_to_diag_ratio():
     # U_{14,15}/U_{15,15} = exp(-1/(2 sigma)), independent of normalization
     table = build_weights(PacketSpec(15, 3.0))
     ratio = table.offdiag[15 - table.n_min - 1] / table.diag[15 - table.n_min]
-    assert ratio == pytest.approx(math.exp(-1.0 / 6.0), rel=1e-12)
+    assert ratio == pytest.approx(math.exp(-1.0 / 6.0), rel=1e-12, abs=0)
 
 
 def test_delta_limit_of_narrow_packet():
@@ -88,7 +88,7 @@ def test_rank_one_structure():
         i = n - table.n_min
         lhs = table.offdiag[i - 1] ** 2
         rhs = table.diag[i - 1] * table.diag[i]
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=0)
 
 
 def test_tables_are_read_only():
