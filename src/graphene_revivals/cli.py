@@ -73,6 +73,7 @@ class RunConfig:
         if self.gamma_steps < 2:
             raise ValueError("gamma_steps must be >= 2 to scan both ends of "
                              f"[0, gamma_mev], got {self.gamma_steps}")
+        self.packet_spec()  # rejects n0 and sigma before any period is computed
 
     # dependent objects -----------------------------------------------------
     def field_params(self) -> FieldParams:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import trig_series
+from ._kernels import phase_rounding, trig_series
 from .constants import HBAR
 from .spectrum import SpectrumModel, level_frequencies
 from .wavepacket import PacketSpec, WeightTable, truncation_range
@@ -100,7 +100,11 @@ def max_frequency(spec: PacketSpec, model: SpectrumModel) -> float:
 
     E_{n_max}/hbar, gap included, bounds the level and intraband transition
     frequencies; the two-band sum frequencies (E_n + E_{n-1})/hbar stay
-    below twice it.
+    below twice it. The one-band bound is E_{n_max}/hbar and not the far
+    smaller largest transition frequency: (E_n - E_{n-1})/hbar is a
+    difference of two level frequencies and carries their rounding, up to
+    eps * E_{n_max}/hbar, so a phase is only as good as that bound times t
+    (current_single_band applies the same check).
     """
     _, n_max = truncation_range(spec)
     with np.errstate(over="ignore"):  # a bound past the largest double is inf
@@ -156,6 +160,9 @@ def current_single_band(table: WeightTable, model: SpectrumModel, grid: TimeGrid
     if table.band_content != expected:
         raise ValueError(
             f"table holds {table.band_content!r} band content, need {expected!r}")
+    # trig_series sees only the transition frequencies, not the rounding of
+    # the level frequencies they are differences of
+    phase_rounding(level_frequencies(model, table.n_max), grid.t_end)
     jx, jy = _single_band_values(table, model, grid.times, s)
     return _current_pair(grid, jx, jy, broadening)
 

@@ -25,8 +25,11 @@ BANDS = ("positive", "negative", "both")
 class PacketSpec:
     """Packet parameters: central level, level-space width, band content.
 
-    tail_tolerance bounds the relative Gaussian amplitude weight that
-    truncating the level sum may discard.
+    n0 is at most 2**52, so that every level index of the packet is an exact
+    double. tail_tolerance bounds the relative Gaussian amplitude weight that
+    truncating the level sum may discard; it is at least 1e-14, because the
+    excluded weight is read off as total - inside, which rounds by about
+    eps = 2.2e-16 of the total (2% of 1e-14) and hides any smaller share.
     """
 
     n0: int
@@ -35,14 +38,14 @@ class PacketSpec:
     tail_tolerance: float = 1e-12
 
     def __post_init__(self):
-        if self.n0 < 1:
-            raise ValueError(f"central level n0 must be >= 1, got {self.n0}")
+        if not 1 <= self.n0 <= 2 ** 52:
+            raise ValueError(f"central level n0 must be in [1, 2**52], got {self.n0}")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.bands not in BANDS:
             raise ValueError(f"bands must be one of {BANDS}, got {self.bands!r}")
-        if not 0.0 < self.tail_tolerance < 1.0:
-            raise ValueError(f"tail_tolerance must be in (0, 1), got {self.tail_tolerance}")
+        if not 1e-14 <= self.tail_tolerance < 1.0:
+            raise ValueError(f"tail_tolerance must be in [1e-14, 1), got {self.tail_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -88,45 +91,43 @@ class WeightTable:
 
 
 def truncation_range(spec: PacketSpec) -> tuple[int, int]:
-    """Smallest symmetric level range keeping the Gaussian amplitude tail
-    below spec.tail_tolerance.
-
-    Returns (n_min, n_max) = (max(0, n0-k), n0+k) with the smallest k such
-    that the amplitude weight g_n = exp(-(n-n0)^2/(2 sigma)) excluded from
-    the range is less than tail_tolerance of the total over n >= 0.
-    """
-    n0, sigma, tol = spec.n0, spec.sigma, spec.tail_tolerance
-    # upper bound on the half-width: Gaussian tail estimate plus slack
-    k_cap = int(math.ceil(math.sqrt(2.0 * sigma * math.log(1.0 / tol)))) + 2
-    n = np.arange(0, n0 + k_cap + 1)
-    with np.errstate(over="ignore"):  # at tiny sigma the exponent is -inf: g_n = 0
-        g = np.exp(-((n - n0) ** 2) / (2.0 * sigma))
-    total = g.sum()
-    for k in range(k_cap + 1):
-        inside = g[max(0, n0 - k):n0 + k + 1].sum()
-        if (total - inside) / total < tol:
-            return max(0, n0 - k), n0 + k
-    raise RuntimeError("truncation search did not converge")  # unreachable by k_cap
+    """The level range (n_min, n_max) of build_weights(spec)."""
+    table = build_weights(spec)
+    return table.n_min, table.n_max
 
 
 def build_weights(spec: PacketSpec) -> WeightTable:
     """Build the normalized overlap table for a packet.
 
-    U_{m,n} is proportional to g_m * g_n over the truncated range and
-    normalized so the total population sums to exactly 1; for two-band
-    packets each band carries half, i.e. the stored per-band diagonal sums
-    to 1/2.
+    The range is (n_min, n_max) = (max(0, n0-k), n0+k) with the smallest k
+    such that the amplitude weight g_n = exp(-(n-n0)^2/(2 sigma)) excluded
+    from it is less than tail_tolerance of the total over n >= 0. U_{m,n} is
+    proportional to g_m * g_n over that range and normalized so the total
+    population sums to exactly 1; for two-band packets each band carries
+    half, i.e. the stored per-band diagonal sums to 1/2.
     """
-    n_min, n_max = truncation_range(spec)
-    n = np.arange(n_min, n_max + 1)
-    with np.errstate(over="ignore"):  # as in truncation_range
-        g = np.exp(-((n - spec.n0) ** 2) / (2.0 * spec.sigma))
-    pop = g * g
+    n0, sigma, tol = spec.n0, spec.sigma, spec.tail_tolerance
+    # upper bound on the half-width: Gaussian tail estimate plus slack
+    k_cap = int(math.ceil(math.sqrt(2.0 * sigma * math.log(1.0 / tol)))) + 2
+    # past |n-n0| > sqrt(1492 sigma) the exponent is below -746, where exp
+    # underflows to 0.0, so g's sum over this window is the total over n >= 0
+    half = max(k_cap, math.ceil(math.sqrt(1492.0 * sigma)) + 1)
+    lo = max(0, n0 - half)
+    with np.errstate(over="ignore"):  # at tiny sigma the exponent is -inf: g_n = 0
+        g = np.exp(-((np.arange(lo, n0 + half + 1) - n0) ** 2) / (2.0 * sigma))
+    total = g.sum()
+    for k in range(k_cap + 1):
+        n_min, n_max = max(0, n0 - k), n0 + k
+        g_in = g[n_min - lo:n_max - lo + 1]
+        if (total - g_in.sum()) / total < tol:
+            break
+    else:
+        raise RuntimeError("truncation search did not converge")  # unreachable by k_cap
+    pop = g_in * g_in
     norm = pop.sum() * (2.0 if spec.bands == "both" else 1.0)
     diag = pop / norm
-    offdiag = g[:-1] * g[1:] / norm
+    offdiag = g_in[:-1] * g_in[1:] / norm
     diag.flags.writeable = False
     offdiag.flags.writeable = False
     return WeightTable(n_min=n_min, n_max=n_max, diag=diag, offdiag=offdiag,
                        band_content=spec.bands)
-

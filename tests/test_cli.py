@@ -504,7 +504,14 @@ def test_gapped_timescales(tmp_path):
     (("--B", "1e308"), None),        # hbar/(e*B) subnormal
     ((), "v_f = 1e-320\n"),          # hbar*Omega underflows to zero
     ((), "v_f = 1e300\nB = 1.0\n"),  # Omega * sqrt(n_max) overflows to inf
-], ids=["gap-1e300", "B-1e-310", "B-1e308", "v_f-1e-320", "v_f-1e300"])
+    # n0 above 2**52 is refused, so no level index rounds as a double; each
+    # of these once escaped main() with its own exception
+    (("--n0", str(2**53 + 1)), None),
+    (("--n0", str(2**63)), None),
+    (("--n0", str(2**64)), None),
+    (("--n0", str(10**400)), None),
+], ids=["gap-1e300", "B-1e-310", "B-1e308", "v_f-1e-320", "v_f-1e300",
+        "n0-2^53+1", "n0-2^63", "n0-2^64", "n0-10^400"])
 def test_extreme_field_and_gap_are_config_errors(tmp_path, capsys, argv, config):
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
@@ -516,9 +523,9 @@ def test_extreme_field_and_gap_are_config_errors(tmp_path, capsys, argv, config)
 
 
 # main() is driven in-process, so any exception that escapes it fails the
-# test. n0 stays <= 5000 and sigma <= 1e4: truncation_range allocates about
-# n0 + sqrt(sigma) floats, so far larger values ask for gigabytes, and no
-# memory guard refuses them yet (README, "Known issues").
+# test. sigma stays <= 1e4: the level table holds about 77 sqrt(sigma)
+# floats, and no term budget refuses a far wider one yet (README, "Known
+# issues"). n0 costs nothing but is drawn at the 2**52 bound and past it too.
 _EXTREMES = (5e-324, 1e-310, 1e300, math.nan, math.inf, -math.inf, -1.0, 0.0)
 
 
@@ -530,7 +537,8 @@ def _draw(ordinary, extremes=_EXTREMES):
 @given(command=st.sampled_from(["timescales", "autocorr", "current"]),
        bands=st.sampled_from(["pos", "neg", "both"]),
        samples=st.integers(2, 64),
-       n0=st.integers(-2, 5000),
+       n0=st.one_of(st.integers(-2, 5000), st.sampled_from(
+           [10**7, 10**10, 2**52, 2**52 + 1, 2**63, 2**64, 10**400])),
        b=_draw(st.floats(0.1, 100.0)),
        sigma=_draw(st.floats(0.01, 1e4), tuple(x for x in _EXTREMES if x != 1e300)),
        gap_mev=_draw(st.floats(0.0, 1e3)),

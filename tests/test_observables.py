@@ -289,6 +289,14 @@ def test_imprecise_phases_refused_before_evaluation(model10, table15):
         currents(table15, model10, TimeGrid(0.0, 1e300, 4))
 
 
+def test_one_band_current_refuses_rounded_transition_frequencies(model10):
+    # om_n - om_{n-1} rounds by eps * om_n, 3.9e-2 rad over this grid, while
+    # the transition frequencies that trig_series checks stay far smaller
+    table = build_weights(PacketSpec(10**6, 3.0))
+    with pytest.raises(ValueError, match="limit"):
+        current_single_band(table, model10, TimeGrid(0.0, 1e-3, 64), +1)
+
+
 def test_widest_perfbench_case_far_below_phase_limit():
     # perfbench's wide-band workload: two bands, n0 up to 2050, sigma 400,
     # B up to 15 T, grid to 1.1 T_r; its phases reach ~2e8 rad

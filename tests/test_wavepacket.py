@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         PacketSpec(0, 3.0)
     with pytest.raises(ValueError):
+        PacketSpec(2**52 + 1, 3.0)  # level indices would round as doubles
+    with pytest.raises(ValueError):
         PacketSpec(15, 0.0)
     with pytest.raises(ValueError):
         PacketSpec(15, 3.0, bands="up")
@@ -20,11 +23,15 @@ def test_spec_validation():
         PacketSpec(15, 3.0, tail_tolerance=1.0)
     with pytest.raises(ValueError):
         PacketSpec(15, 3.0, tail_tolerance=0.0)
+    with pytest.raises(ValueError):
+        PacketSpec(15, 3.0, tail_tolerance=1e-20)  # below the rounding of total - inside
 
 
 @pytest.mark.parametrize("n0,sigma,tol", [
     (15, 3.0, 1e-12), (11, 40.0, 1e-12), (1, 40.0, 1e-12),
     (50, 10.0, 1e-12), (1, 0.1, 1e-12), (15, 3.0, 0.5),
+    # tails right of n0 + k_cap matter here; the last is the wide-band packet
+    (151, 400.0, 1e-12), (57, 1000.0, 1e-12), (394, 3000.0, 1e-12), (2000, 400.0, 1e-12),
 ])
 def test_truncation_matches_tail_sum_oracle(n0, sigma, tol):
     k = truncation_half_width(n0, sigma, tol)
@@ -44,6 +51,18 @@ def test_truncation_collapses_with_loose_tolerance():
         widths.append(hi - lo)
     assert widths == sorted(widths, reverse=True)
     assert widths[-1] <= 2
+
+
+def test_table_memory_independent_of_n0():
+    # only the window where g_n is nonzero is evaluated, not [0, n0]
+    tracemalloc.start()
+    try:
+        table = build_weights(PacketSpec(10**7, 3.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (table.n_min, table.n_max) == (10**7 - 12, 10**7 + 12)
+    assert peak < 1e6
 
 
 def test_truncation_clips_at_zero():
