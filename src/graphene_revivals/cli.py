@@ -34,7 +34,7 @@ from .constants import (E_CHARGE, FERMI_VELOCITY_DEFAULT, FieldParams, convert,
 from .observables import (TimeGrid, abs_squared, autocorrelation, currents,
                           damped, max_frequency, total_current_both_valleys)
 from .spectrum import SpectrumModel, timescales
-from .wavepacket import PacketSpec, build_weights
+from .wavepacket import PacketSpec, WeightTable, build_weights
 
 _BANDS_FLAG = {"pos": "positive", "neg": "negative", "both": "both"}
 
@@ -194,8 +194,8 @@ def _render(cfg: RunConfig, command: str, header: list[str], columns: list,
 
 # --- subcommands ------------------------------------------------------------
 
-def cmd_timescales(cfg: RunConfig, out: str | None) -> None:
-    model = SpectrumModel(cfg.field_params())
+def cmd_timescales(cfg: RunConfig, model: SpectrumModel, table: WeightTable,
+                   grid: TimeGrid, out: str | None) -> None:
     ts = timescales(model, cfg.n0)
     entries = [
         ("t_cl_fs", convert(ts.t_classical, "s", "fs")),
@@ -205,23 +205,17 @@ def cmd_timescales(cfg: RunConfig, out: str | None) -> None:
         ("ratio_t_r_over_t_cl", ts.t_revival / ts.t_classical),
         ("ratio_t_r_over_t_zb", ts.t_revival / ts.t_zitterbewegung),
         ("hbar_omega_mev", convert(model.omega, "rad/s", "meV")),
-        ("magnetic_length_nm", magnetic_length(cfg.field_params()) * 1e9),
+        ("magnetic_length_nm", magnetic_length(model.params) * 1e9),
     ]
     _render(cfg, "timescales", ["quantity", "value"], list(zip(*entries)), out=out)
 
 
-def cmd_autocorr(cfg: RunConfig, out: str | None) -> None:
-    model = SpectrumModel(cfg.field_params())
-    table = build_weights(cfg.packet_spec())
-    series = autocorrelation(table, model, cfg.time_grid())
+def cmd_autocorr(cfg: RunConfig, model: SpectrumModel, table: WeightTable,
+                 grid: TimeGrid, out: str | None) -> None:
+    series = autocorrelation(table, model, grid)
     columns = [convert(series.grid.times, "s", "fs"), series.values.real,
                series.values.imag, abs_squared(series).values]
     _render(cfg, "autocorr", ["t_fs", "re_A", "im_A", "abs2_A"], columns, out=out)
-
-
-def _undamped_currents(cfg: RunConfig):
-    table = build_weights(cfg.packet_spec())
-    return currents(table, SpectrumModel(cfg.field_params()), cfg.time_grid())
 
 
 def _observed(cfg: RunConfig, series, gamma_mev: float):
@@ -230,22 +224,23 @@ def _observed(cfg: RunConfig, series, gamma_mev: float):
     return total_current_both_valleys(series) if cfg.valleys == "both" else series
 
 
-def cmd_current(cfg: RunConfig, out: str | None) -> None:
-    jx, jy = (_observed(cfg, j, cfg.gamma_mev) for j in _undamped_currents(cfg))
+def cmd_current(cfg: RunConfig, model: SpectrumModel, table: WeightTable,
+                grid: TimeGrid, out: str | None) -> None:
+    jx, jy = (_observed(cfg, j, cfg.gamma_mev) for j in currents(table, model, grid))
     scale = E_CHARGE * cfg.v_f if cfg.si_current else 1.0
     columns = [convert(jx.grid.times, "s", "fs"), scale * jx.values, scale * jy.values]
     _render(cfg, "current", ["t_fs", "jx_evf", "jy_evf"], columns, out=out)
 
 
-def cmd_gamma_scan(cfg: RunConfig, out: str | None) -> None:
-    model = SpectrumModel(cfg.field_params())
+def cmd_gamma_scan(cfg: RunConfig, model: SpectrumModel, table: WeightTable,
+                   grid: TimeGrid, out: str | None) -> None:
     scales = timescales(model, cfg.n0)
     gammas = [0.0] if cfg.gamma_mev == 0.0 else np.linspace(
         0.0, cfg.gamma_mev, cfg.gamma_steps).tolist()
     header = ["gamma_mev"]
     for tag in ("quarter", "half", "three_quarter", "full"):
         header += [f"{tag}_class", f"{tag}_peak"]
-    _, jy = _undamped_currents(cfg)
+    _, jy = currents(table, model, grid)
     rows = []
     for g in gammas:
         report = detect_revivals(_observed(cfg, jy, g), scales)
@@ -254,7 +249,7 @@ def cmd_gamma_scan(cfg: RunConfig, out: str | None) -> None:
             row.append(st.classification)
             row.append("" if st.peak is None else st.peak.value)
         rows.append(row)
-    gamma_max = estimate_gamma_max(cfg.packet_spec(), cfg.field_params())
+    gamma_max = estimate_gamma_max(cfg.packet_spec(), model.params)
     trailer = [f"gamma_max_mev = {_format_value(convert(gamma_max, 'J', 'meV'))}"]
     _render(cfg, "gamma-scan", header, list(zip(*rows)), trailer=trailer, out=out)
 
@@ -323,13 +318,15 @@ def main(argv=None) -> int:
         return 0 if stop.code == 0 else 1  # 0 after --help
     try:
         cfg = resolve_config(args)
-        phase_rounding(max_frequency(cfg.packet_spec(), SpectrumModel(cfg.field_params())),
-                       cfg.time_grid().t_end)
-    except (ValueError, OSError) as err:
+        model = SpectrumModel(cfg.field_params())
+        table = build_weights(cfg.packet_spec())
+        grid = cfg.time_grid()
+        phase_rounding(max_frequency(table, model), grid.t_end)
+    except (ValueError, OSError, MemoryError) as err:
         print(f"graphene-revivals: config error: {err}", file=sys.stderr)
         return 1
     try:
-        _COMMANDS[args.command](cfg, args.out)
+        _COMMANDS[args.command](cfg, model, table, grid, args.out)
     except (ValueError, OSError, ArithmeticError) as err:
         print(f"graphene-revivals: error: {err}", file=sys.stderr)
         return 2

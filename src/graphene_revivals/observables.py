@@ -26,7 +26,7 @@ import numpy as np
 from ._kernels import phase_rounding, trig_series
 from .constants import HBAR
 from .spectrum import SpectrumModel, level_frequencies
-from .wavepacket import PacketSpec, WeightTable, truncation_range
+from .wavepacket import WeightTable
 
 
 @dataclass(frozen=True)
@@ -95,20 +95,18 @@ def autocorrelation(table: WeightTable, model: SpectrumModel,
     return ObservableSeries(grid, _autocorr_values(table, model, grid.times))
 
 
-def max_frequency(spec: PacketSpec, model: SpectrumModel) -> float:
-    """Upper bound of |om| over every series term of this packet [rad/s].
+def max_frequency(table: WeightTable, model: SpectrumModel) -> float:
+    """Upper bound of |om| over every series term of this table [rad/s].
 
     E_{n_max}/hbar, gap included, bounds the level and intraband transition
     frequencies; the two-band sum frequencies (E_n + E_{n-1})/hbar stay
     below twice it. The one-band bound is E_{n_max}/hbar and not the far
     smaller largest transition frequency: (E_n - E_{n-1})/hbar is a
     difference of two level frequencies and carries their rounding, up to
-    eps * E_{n_max}/hbar, so a phase is only as good as that bound times t
-    (current_single_band applies the same check).
+    eps * E_{n_max}/hbar, so a phase is only as good as that bound times t.
     """
-    _, n_max = truncation_range(spec)
     with np.errstate(over="ignore"):  # a bound past the largest double is inf
-        return (2.0 if spec.bands == "both" else 1.0) * float(level_frequencies(model, n_max))
+        return table.band_multiplicity * float(level_frequencies(model, table.n_max))
 
 
 def _transition_frequencies(table, model):
@@ -160,9 +158,7 @@ def current_single_band(table: WeightTable, model: SpectrumModel, grid: TimeGrid
     if table.band_content != expected:
         raise ValueError(
             f"table holds {table.band_content!r} band content, need {expected!r}")
-    # trig_series sees only the transition frequencies, not the rounding of
-    # the level frequencies they are differences of
-    phase_rounding(level_frequencies(model, table.n_max), grid.t_end)
+    phase_rounding(max_frequency(table, model), grid.t_end)
     jx, jy = _single_band_values(table, model, grid.times, s)
     return _current_pair(grid, jx, jy, broadening)
 

@@ -41,6 +41,27 @@ def test_tracer_counts_kernel_terms_from_positional_arguments():
         "terms": len(om) * len(t)}
 
 
+@pytest.mark.parametrize("argv, levels, terms", [
+    (["current", "--bands", "both", "--sigma", "400", "--n0", "2000", "--B", "10",
+      "--samples", "500"], 287, 286000),
+    (["autocorr"], 25, 102400),
+    (["timescales"], 25, 0),
+    (["gamma-scan", "--gamma-mev", "4"], 50, 1058328),  # + estimate_gamma_max's table
+])
+def test_traced_cli_run_builds_one_table(tmp_path, argv, levels, terms):
+    # a traced run as perfbench's CLI child makes it, in this process
+    tracer = perfbench_module("tracer")
+    rec = tracer.Recorder()
+    undo = tracer.install(rec)
+    try:
+        assert gr.cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    finally:
+        tracer.restore(undo)
+    metrics = tracer.summarize([rec.spans], 1.0)  # the wall only scales the shares
+    assert metrics["wavepacket.levels"] == levels
+    assert metrics["kernels.terms"] == terms
+
+
 def test_library_pass_runs():
     library = perfbench_module("library")
     params = {"B": 10.0, "n0": 15, "samples": 4001, "gamma_mev": 0.7,

@@ -423,6 +423,42 @@ def test_underflowed_grid_end_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, bands, code", [
+    ("autocorr", "pos", 0), ("current", "pos", 0),
+    ("autocorr", "both", 1), ("current", "both", 1), ("timescales", "both", 1),
+])
+def test_phase_precheck_counts_two_band_sum_frequencies(tmp_path, capsys,
+                                                         command, bands, code):
+    # E_27/hbar * 3e-3 s rounds by 6.0e-4 rad, below the 1e-3 rad limit; the
+    # two-band bound 2 E_27/hbar doubles it past the limit, for every command
+    out = tmp_path / "x.csv"
+    assert run_cli(command, "--bands", bands, "--B", "10", "--n0", "15",
+                   "--sigma", "3", "--t-end-fs", "3e12", "--samples", "4",
+                   "--out", str(out)) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("graphene-revivals: config error: phases up to 5.435e+12 rad")
+        assert "past the 0.001 rad limit" in err
+        assert not out.exists()
+
+
+def test_unallocatable_level_window_is_config_error(tmp_path, capsys, monkeypatch):
+    # --sigma 1e14 asks for a ~2.9 GiB level window; a stand-in raises the
+    # failed allocation at the default sigma, so nothing large is attempted
+    # even where the patch does not reach
+    def refuse(spec):
+        raise MemoryError("Unable to allocate 2.9 GiB for an array")
+
+    monkeypatch.setattr(cli, "build_weights", refuse)
+    out = tmp_path / "x.csv"
+    assert run_cli("autocorr", "--samples", "4", "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "graphene-revivals: config error: Unable to allocate 2.9 GiB for an array\n")
+    assert not out.exists()
+
+
 def test_gamma_scan_underflowed_rows_are_absent(tmp_path):
     # at this width the envelope is exactly zero for every t > 0
     ref, out = tmp_path / "g0.csv", tmp_path / "g.csv"

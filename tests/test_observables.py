@@ -275,11 +275,11 @@ def test_two_band_slow_component_matches_single_band(model10):
 
 @pytest.mark.parametrize("bands", ["positive", "negative", "both"])
 def test_max_frequency_bounds_every_term(model10, bands):
-    spec = PacketSpec(15, 3.0, bands=bands)
-    om = model10.omega * np.sqrt(build_weights(spec).levels.astype(float))
+    table = build_weights(PacketSpec(15, 3.0, bands=bands))
+    om = model10.omega * np.sqrt(table.levels.astype(float))
     used = [om, om[1:] - om[:-1]] + ([om[1:] + om[:-1]] if bands == "both" else [])
     top = np.concatenate(used).max()
-    assert top <= max_frequency(spec, model10) < 2.0 * top
+    assert top <= max_frequency(table, model10) < 2.0 * top
 
 
 def test_imprecise_phases_refused_before_evaluation(model10, table15):
@@ -301,9 +301,9 @@ def test_widest_perfbench_case_far_below_phase_limit():
     # perfbench's wide-band workload: two bands, n0 up to 2050, sigma 400,
     # B up to 15 T, grid to 1.1 T_r; its phases reach ~2e8 rad
     model = SpectrumModel(FieldParams(15.0))
-    spec = PacketSpec(2050, 400.0, bands="both")
+    table = build_weights(PacketSpec(2050, 400.0, bands="both"))
     t_end = 1.1 * timescales(model, 2050).t_revival
-    assert phase_rounding(max_frequency(spec, model), t_end) < 1e-6
+    assert phase_rounding(max_frequency(table, model), t_end) < 1e-6
 
 
 def _gapped_model(gap: str) -> SpectrumModel:
@@ -354,8 +354,8 @@ def test_max_frequency_bounds_every_gapped_term(gap):
     # few roundings, hence the 4 eps slack
     model = _gapped_model(gap)
     for bands in ("positive", "both"):
-        spec = PacketSpec(15, 3.0, bands=bands)
-        n = build_weights(spec).levels
+        table = build_weights(PacketSpec(15, 3.0, bands=bands))
+        n = table.levels
         om = np.sqrt(model.params.gap_energy ** 2 + n * (HBAR * model.omega) ** 2) / HBAR
         top = (om[1:] + om[:-1]).max() if bands == "both" else om.max()
-        assert top <= max_frequency(spec, model) * (1.0 + 4 * np.finfo(np.float64).eps)
+        assert top <= max_frequency(table, model) * (1.0 + 4 * np.finfo(np.float64).eps)
