@@ -223,6 +223,7 @@ def station_visible_log(series: ObservableSeries, scales: TimeScales,
     True when max |values| within +-STATION_WINDOW of the station stays above
     floor * max |values| of the whole series, i.e. the revival bump would
     still show on a logarithmic plot with -log10(floor) decades of range.
+    A window with no nonzero value (any window of a zero series) is not visible.
     """
     v = np.abs(_require_real(series))
     t = series.grid.times
@@ -230,7 +231,8 @@ def station_visible_log(series: ObservableSeries, scales: TimeScales,
     mask = np.abs(t - t_st) <= STATION_WINDOW * t_st
     if not mask.any():
         raise ValueError("station window lies outside the series")
-    return float(v[mask].max()) >= floor * float(v.max())
+    peak = float(v[mask].max())
+    return peak > 0.0 and peak >= floor * float(v.max())
 
 
 def default_gamma_criterion(series: ObservableSeries, scales: TimeScales) -> bool:

@@ -327,7 +327,7 @@ def main(argv=None) -> int:
         return 1
     try:
         _COMMANDS[args.command](cfg, model, table, grid, args.out)
-    except (ValueError, OSError, ArithmeticError) as err:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as err:
         print(f"graphene-revivals: error: {err}", file=sys.stderr)
         return 2
     return 0

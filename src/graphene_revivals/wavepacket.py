@@ -26,10 +26,8 @@ class PacketSpec:
     """Packet parameters: central level, level-space width, band content.
 
     n0 is at most 2**52, so that every level index of the packet is an exact
-    double. tail_tolerance bounds the relative Gaussian amplitude weight that
-    truncating the level sum may discard; it is at least 1e-14, because the
-    excluded weight is read off as total - inside, which rounds by about
-    eps = 2.2e-16 of the total (2% of 1e-14) and hides any smaller share.
+    double. tail_tolerance, in (0, 1), bounds the relative Gaussian amplitude
+    weight that truncating the level sum may discard.
     """
 
     n0: int
@@ -44,8 +42,8 @@ class PacketSpec:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.bands not in BANDS:
             raise ValueError(f"bands must be one of {BANDS}, got {self.bands!r}")
-        if not 1e-14 <= self.tail_tolerance < 1.0:
-            raise ValueError(f"tail_tolerance must be in [1e-14, 1), got {self.tail_tolerance}")
+        if not 0.0 < self.tail_tolerance < 1.0:
+            raise ValueError(f"tail_tolerance must be in (0, 1), got {self.tail_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -107,22 +105,21 @@ def build_weights(spec: PacketSpec) -> WeightTable:
     half, i.e. the stored per-band diagonal sums to 1/2.
     """
     n0, sigma, tol = spec.n0, spec.sigma, spec.tail_tolerance
-    # upper bound on the half-width: Gaussian tail estimate plus slack
-    k_cap = int(math.ceil(math.sqrt(2.0 * sigma * math.log(1.0 / tol)))) + 2
     # past |n-n0| > sqrt(1492 sigma) the exponent is below -746, where exp
     # underflows to 0.0, so g's sum over this window is the total over n >= 0
-    half = max(k_cap, math.ceil(math.sqrt(1492.0 * sigma)) + 1)
+    half = math.ceil(math.sqrt(1492.0 * sigma)) + 1
     lo = max(0, n0 - half)
     with np.errstate(over="ignore"):  # at tiny sigma the exponent is -inf: g_n = 0
         g = np.exp(-((np.arange(lo, n0 + half + 1) - n0) ** 2) / (2.0 * sigma))
-    total = g.sum()
-    for k in range(k_cap + 1):
-        n_min, n_max = max(0, n0 - k), n0 + k
-        g_in = g[n_min - lo:n_max - lo + 1]
-        if (total - g_in.sum()) / total < tol:
-            break
-    else:
-        raise RuntimeError("truncation search did not converge")  # unreachable by k_cap
+    c = n0 - lo
+    # excluded[k], the weight outside [n0-k, n0+k], sums each tail smallest term
+    # first (to a few eps of itself); excluded[half] = 0 < tol * total bounds k
+    excluded = np.zeros(half + 1)
+    excluded[:half] = np.cumsum(g[:c:-1])[::-1]
+    excluded[:c] += np.cumsum(g[:c])[::-1]
+    k = int(np.argmax(excluded < tol * g.sum()))
+    n_min, n_max = max(0, n0 - k), n0 + k
+    g_in = g[n_min - lo:n_max - lo + 1]
     pop = g_in * g_in
     norm = pop.sum() * (2.0 if spec.bands == "both" else 1.0)
     diag = pop / norm

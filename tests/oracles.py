@@ -5,6 +5,7 @@ polynomial coefficients, direct tail summation, plain term-by-term complex
 arithmetic) and never calls the code paths it checks.
 """
 
+import bisect
 import cmath
 import math
 
@@ -42,15 +43,23 @@ def hermite_gaussian_explicit(n: int, xi: float) -> float:
 
 
 def truncation_half_width(n0: int, sigma: float, tol: float) -> int:
-    """Smallest k keeping the excluded Gaussian amplitude weight below tol."""
-    n = np.arange(0, n0 + 4000)
-    g = np.exp(-((n - n0) ** 2) / (2.0 * sigma))
-    total = g.sum()
-    for k in range(4000):
-        inside = g[max(0, n0 - k):n0 + k + 1].sum()
-        if (total - inside) / total < tol:
-            return k
-    raise RuntimeError("oracle did not converge")
+    """Smallest k whose excluded Gaussian amplitude weight is below tol of the
+    total, with both excluded tails and the total summed exactly (math.fsum).
+
+    g_n = exp(-(n-n0)^2/(2 sigma)) is 0.0 past |n - n0| = sqrt(1492 sigma) + 1,
+    so that window holds every nonzero term. The exact excluded weight shrinks
+    as k grows, so the first k that meets the bound is found by bisection.
+    """
+    half = math.ceil(math.sqrt(1492.0 * sigma)) + 1
+    lo = max(0, n0 - half)
+    g = np.exp(-((np.arange(lo, n0 + half + 1) - n0) ** 2) / (2.0 * sigma)).tolist()
+    limit = tol * math.fsum(g)
+    c = n0 - lo
+
+    def excluded(k):
+        return math.fsum(g[:max(0, c - k)] + g[c + k + 1:])
+
+    return bisect.bisect_left(range(half + 1), True, key=lambda k: excluded(k) < limit)
 
 
 def brute_force_autocorr(diag, energies_j, hbar, t: float) -> complex:

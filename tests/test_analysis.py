@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
-from graphene_revivals import (HBAR, ObservableSeries, PacketSpec,
+from graphene_revivals import (HBAR, FieldParams, ObservableSeries, PacketSpec,
                                SpectrumModel, TimeGrid, TimeScales,
                                abs_squared, autocorrelation, build_weights,
                                current_single_band,
@@ -308,6 +308,20 @@ def test_station_visibility_is_monotone_in_floor(model10):
     assert station_visible_log(jy, ts, floor=1e-20)
     assert station_visible_log(jy, ts, floor=1e-3)
     assert not station_visible_log(jy, ts, floor=1e-2)
+
+
+@pytest.mark.parametrize("floor", [1e-20, 0.0])
+def test_identically_zero_series_is_not_visible(model10, floor):
+    ts = timescales(model10, 15)
+    zeros = series_of(np.zeros(1001), t_end=1.06 * ts.t_revival)
+    assert not station_visible_log(zeros, ts, floor=floor)
+
+
+def test_gamma_max_of_underflowing_envelope_is_not_the_bracket_top():
+    # at n0 20000 the envelope underflows to zeros long before the 20 meV
+    # bracket top, and a zero series must not count as visible there
+    gmax = estimate_gamma_max(PacketSpec(20000, 3.0), FieldParams(10.0))
+    assert 0.0 < gmax < 0.1 * MEV
 
 
 def test_gamma_max_deterministic(field10):

@@ -16,7 +16,14 @@ import pytest
 import graphene_revivals as gr
 import graphene_revivals.cli  # noqa: F401  (checks.py reads gr.cli)
 
+from oracles import truncation_half_width
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# every packet a workload builds: sigma 3 at n0 15 (one and two bands), sigma
+# 400 at n0 1950-2050 (two bands) and the library's delocalized (11, 40)
+WORKLOAD_PACKETS = ({(15, 3.0, "positive"), (15, 3.0, "both"), (11, 40.0, "positive")}
+                    | {(n0, 400.0, "both") for n0 in range(1950, 2051)})
 
 
 def perfbench_module(name: str):
@@ -94,3 +101,23 @@ def test_library_pass_values_pass_the_benchmark_checks():
     rows = [0, 1, 2000, 4000]
     checked = library.check_values(library.run_pass(gr, params), rows, params)
     assert checks.check_library(params, checked, rows, gr).failures == []
+
+
+def test_workload_level_ranges_match_the_exact_oracle():
+    # checks.py builds its reference sums over gr.truncation_range, so a range
+    # defect would move the reference with the program; pin it here instead
+    workloads = perfbench_module("workloads")
+    for seed in range(50):
+        for name in workloads.NAMES:
+            w = workloads.generate(name, seed)
+            if "library" in w:
+                p = w["library"]
+                built = {(p["n0"], 3.0, "positive"), (p["n0"], 3.0, "both"),
+                         (p["deloc_n0"], p["deloc_sigma"], "positive")}
+            else:
+                built = {(inv.n0, inv.sigma, inv.bands) for inv in w["invocations"]}
+            assert built <= WORKLOAD_PACKETS, (name, seed, built - WORKLOAD_PACKETS)
+    for n0, sigma, bands in sorted(WORKLOAD_PACKETS):
+        k = truncation_half_width(n0, sigma, 1e-12)
+        assert gr.truncation_range(gr.PacketSpec(n0, sigma, bands)) == \
+            (max(0, n0 - k), n0 + k), (n0, sigma, bands)

@@ -459,6 +459,20 @@ def test_unallocatable_level_window_is_config_error(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_allocation_failure_in_command_is_runtime_error(tmp_path, capsys, monkeypatch):
+    # a grid too large to allocate fails inside the command; a stand-in raises
+    # the failed allocation, so nothing large is attempted
+    def refuse(table, model, grid):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, "autocorrelation", refuse)
+    out = tmp_path / "x.csv"
+    assert run_cli("autocorr", "--samples", "4", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "graphene-revivals: error: Unable to allocate 745. GiB for an array\n")
+    assert not out.exists()
+
+
 def test_gamma_scan_underflowed_rows_are_absent(tmp_path):
     # at this width the envelope is exactly zero for every t > 0
     ref, out = tmp_path / "g0.csv", tmp_path / "g.csv"

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -24,19 +25,43 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         PacketSpec(15, 3.0, tail_tolerance=0.0)
     with pytest.raises(ValueError):
-        PacketSpec(15, 3.0, tail_tolerance=1e-20)  # below the rounding of total - inside
+        PacketSpec(15, 3.0, tail_tolerance=math.nan)
+    with pytest.raises(ValueError):
+        PacketSpec(15, 3.0, tail_tolerance=-1e-12)
 
 
 @pytest.mark.parametrize("n0,sigma,tol", [
     (15, 3.0, 1e-12), (11, 40.0, 1e-12), (1, 40.0, 1e-12),
     (50, 10.0, 1e-12), (1, 0.1, 1e-12), (15, 3.0, 0.5),
-    # tails right of n0 + k_cap matter here; the last is the wide-band packet
+    # wide packets whose right tail is longer than the left one; the last is
+    # the wide-band packet
     (151, 400.0, 1e-12), (57, 1000.0, 1e-12), (394, 3000.0, 1e-12), (2000, 400.0, 1e-12),
+    # the excluded share lies within an eps of the total from 1e-12, where
+    # total - inside rounds to the wrong side and widens the range by one level
+    (1645, 249.0052674639354, 1e-12), (1574, 1175.8376681231177, 1e-12),
 ])
 def test_truncation_matches_tail_sum_oracle(n0, sigma, tol):
     k = truncation_half_width(n0, sigma, tol)
     assert truncation_range(PacketSpec(n0, sigma, tail_tolerance=tol)) == \
         (max(0, n0 - k), n0 + k)
+
+
+@pytest.mark.parametrize("tol, levels", [(1e-20, (0, 31)), (1e-300, (0, 79)),
+                                         (5e-324, (0, 81))])
+def test_truncation_at_tolerances_below_the_rounding_of_the_total(tol, levels):
+    # the smallest subnormal tolerance still leaves the range inside the window
+    assert truncation_half_width(15, 3.0, tol) == levels[1] - 15
+    assert truncation_range(PacketSpec(15, 3.0, tail_tolerance=tol)) == levels
+
+
+def test_truncation_matches_tail_sum_oracle_on_seeded_packets():
+    rng = random.Random(17)
+    for _ in range(200):
+        n0, sigma = rng.randint(1, 3000), 10.0 ** rng.uniform(-2.0, math.log10(1500.0))
+        tol = 10.0 ** rng.uniform(-300.0, -0.5)
+        k = truncation_half_width(n0, sigma, tol)
+        assert truncation_range(PacketSpec(n0, sigma, tail_tolerance=tol)) == \
+            (max(0, n0 - k), n0 + k), (n0, sigma, tol)
 
 
 def test_truncation_frozen_value():
