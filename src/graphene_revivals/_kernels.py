@@ -24,35 +24,52 @@ import numpy as np
 # its series uses: the two-band current is a pure sine series and asks for
 # np.sin alone, so no cosine of its large sum-frequency phases is evaluated.
 #
-# The T x L phase table is walked in blocks of whole rows, about
-# BLOCK_ELEMENTS phases each, through three preallocated (rows, L) buffers,
-# so a call holds O(T + BLOCK_ELEMENTS) floats at any grid size and a block
-# stays in cache. Each row is computed on its own, so the output bits do
-# not depend on the block size.
+# The T x L phase table is walked in blocks of whole rows through four
+# preallocated (rows, L) buffers of 3/4 * BLOCK_ELEMENTS phases each (768
+# KiB), so a call holds O(T + BLOCK_ELEMENTS) floats at any grid size and a
+# block stays in cache. Each row is computed on its own, so the output bits
+# do not depend on the block size.
 #
-# Each phase is fl(om_j * t_k), the product np.outer gives, and is reduced
-# mod 2*pi once, before any function sees it: libm's sin and cos switch to a
-# slow large-argument reduction above about 1e8 rad, where the two-band sum
-# frequencies reach 5e8 rad, and one reduction serves both functions of a
-# one-band series. The reduction is Cody-Waite's: k = rint(x / 2pi) and
-# r = x - k*P1 - k*P2 - k*P3 - k*P4 - k*P5, where the parts sum to 2pi to
-# more than 100 bits. P1..P4 have at most 12 significant bits, so for
+# Each phase is x = fl(om_j * t_k), the product np.outer gives, halved
+# exactly: h = x / 2 is computed as t_k * (om_j / 2), which rounds the same
+# real number at half the scale (om_j / 2 is exact unless om_j is
+# subnormal). Both functions come from one np.tan of the reduced half-phase:
+# numpy's SIMD tan costs about 3 ns per element where libm's sin and cos
+# cost 19-21 ns on [-pi, pi], and more above ~1e8 rad.
+#
+# Reduction (Cody-Waite, mod pi/2 on h): k is the nearest integer to
+# fl(h * 2/pi), taken as M + k = fl(fl(h * 2/pi) + M) with M = 1.5 * 2^52,
+# so the last bit of M + k is k's parity. Then
+# y = h - k*Q1 - k*Q2 - k*Q3 - k*Q4, r = fl(y - k*Q5) and the low word
+# lo = (y - r) - k*Q5, where Q_i = _TWO_PI_PARTS[i] / 4 (exact) sum to pi/2 to
+# more than 100 bits. Q1..Q4 have at most 12 significant bits, so for
 # |k| < 2^41 (every phase phase_rounding admits is below 4.5e12 rad) each
-# k*P_i, i <= 4, is exact, and so is each difference, whose operands lie on
-# the grid of ulp(x) or of P_i's last bit and whose result needs fewer than
-# 53 of its bits. Only k*P5 and the last difference round, so r is within
-# eps of x - 2*pi*k; |r| <= pi + eps*|x| <= pi + 1e-3, as x / 2pi rounds
-# before rint.
+# k*Q_i, i <= 4, is exact, and so is each difference, whose operands lie on
+# the grid of ulp(h) or of Q_i's last bit and whose result needs fewer than
+# 53 of its bits. r + lo is theta = h - k*pi/2 to within 2e-18 (the parts'
+# 2^-100 and the rounding of k*Q5), and |theta| <= pi/4 + 5e-4, as
+# h * 2/pi rounds before k is taken.
 #
-# The sums over j are np.add.reduce over each row of w_j * f(r), not a BLAS
+# Evaluation: t = tan(r), carried to tan(theta) by t += (1 + t^2) * lo; then
+# with q = t^2, d = 1 + q and sigma = (-1)^k,
+#
+#   sin(x) = 2t / (sigma * d),   cos(x) = (1 - q) / (sigma * d).
+#
+# sigma enters as the sign bit of d, copied from the parity bit of M + k, so
+# the flip is exact; the 2 of the sine is applied to the finished sum, also
+# exactly. One t serves both functions of a one-band series.
+#
+# The sums over j are np.add.reduce over each row of w_j * f(x), not a BLAS
 # product: a gemv splits the sum by thread, so its last bits would depend
 # on the BLAS thread count, and outputs must repeat byte for byte on any
 # machine.
 
-BLOCK_ELEMENTS = 1 << 15  # 256 KiB of float64 per buffer
+BLOCK_ELEMENTS = 1 << 15  # four buffers of 3/4 of it: 768 KiB of float64
 _TWO_PI_PARTS = tuple(float.fromhex(h) for h in (
     "0x1.92p+2", "0x1.fb4p-10", "0x1.444p-22", "0x1.68cp-37", "0x1.1a62633145c07p-52"))
-_INV_TWO_PI = 1.0 / (2.0 * math.pi)
+_HALF_PI_PARTS = tuple(p / 4.0 for p in _TWO_PI_PARTS)
+_TWO_OVER_PI = 2.0 / math.pi
+_ROUNDER = 1.5 * 2.0 ** 52  # fl(y + M) - M is y rounded to an integer, |y| < 2^51
 
 PHASE_ROUNDING_LIMIT = 1e-3  # rad
 
@@ -84,11 +101,21 @@ def _vector(name, values):
 def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *trigs):
     """(sum_j w_j f(om_j t_k) for f in trigs) over the time grid, f np.cos or np.sin.
 
-    Error model: each phase x = fl(om_j * t_k) is reduced to r with
-    |r - (x - 2*pi*k)| <= eps, f(r) is within one ulp (<= eps/2), the
-    product w_j * f(r) rounds once and the L-term sum by at most (L - 1)
-    roundings along any path, so against the exact sums of cos/sin of the
-    same float phases every value is off by
+    Error model, to first order: let x = fl(om_j * t_k), theta its reduced
+    half-phase (|theta| <= pi/4 + 5e-4) and T = tan(theta). With np.tan
+    within c ulp, the corrected t is within c*ulp(T) + ulp(T)/2 + 4e-18 of T.
+    Carrying that, and the roundings of t^2, 1 + t^2, 1 - t^2 (exact for
+    t^2 >= 1/2) and the division, through 2T/(1+T^2) and (1-T^2)/(1+T^2)
+    bounds the evaluated f~ at every theta by
+
+        |f~ - f(x)| + eps/2 * |f(x)| <= 2 * eps      for c <= 0.8.
+
+    The largest value is the cosine's near T = 1/2: 1.85 * eps at c = 0.573,
+    the largest error measured for numpy's float64 tan on that range. So
+    each product w_j * f~, rounded once, is within 2 * eps * |w_j| of
+    w_j * f(x), and the L-term sum adds at most (L - 1) roundings along any
+    path; against the exact sums of cos/sin of the same float phases every
+    value is off by
 
         |err_k| <= eps * (L + 3) / 2 * sum_j |w_j|
 
@@ -99,14 +126,17 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
         |err_k| <= eps * (max|om| * max|t| + L + 3) / 2 * sum_j |w_j|.
 
     Raises ValueError when an input is not one-dimensional, when weights
-    and omegas differ in length, or when the largest phase is too large to
-    carry correct digits (see :func:`phase_rounding`).
+    and omegas differ in length, when a function other than np.cos or np.sin
+    is requested, or when the largest phase is too large to carry correct
+    digits (see :func:`phase_rounding`).
     """
     weights = _vector("weights", weights)
     omegas = _vector("omegas", omegas)
     times = _vector("times", times)
     if weights.shape != omegas.shape:
         raise ValueError("weights and omegas must have the same length")
+    if not all(trig is np.cos or trig is np.sin for trig in trigs):
+        raise ValueError("trig_series evaluates np.cos and np.sin only")
     # the ufunc, not ndarray.max: that method forwards to numpy's Python _amax,
     # and its first use in a process leaves a 54-byte object in some
     # processes only, so a first call's tracemalloc peak would not repeat
@@ -116,18 +146,35 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
     sums = tuple(np.zeros(n_t) for _ in trigs)
     if n_t == 0 or n_l == 0:
         return sums
-    rows = min(n_t, max(1, BLOCK_ELEMENTS // n_l))
-    phase, turns, term = (np.empty((rows, n_l)) for _ in range(3))
+    half_omegas = 0.5 * omegas
+    rows = min(n_t, max(1, 3 * BLOCK_ELEMENTS // (4 * n_l)))
+    phase, turns, tangent, scratch = (np.empty((rows, n_l)) for _ in range(4))
     for start in range(0, n_t, rows):
-        t = times[start:start + rows]
-        x, k, f = phase[:t.size], turns[:t.size], term[:t.size]
-        np.multiply(t[:, np.newaxis], omegas, out=x)
-        np.rint(np.multiply(x, _INV_TWO_PI, out=k), out=k)
-        for part in _TWO_PI_PARTS:
-            x -= np.multiply(k, part, out=f)
+        t_k = times[start:start + rows]
+        h, m, t, f = phase[:t_k.size], turns[:t_k.size], tangent[:t_k.size], scratch[:t_k.size]
+        np.multiply(t_k[:, np.newaxis], half_omegas, out=h)
+        np.add(np.multiply(h, _TWO_OVER_PI, out=m), _ROUNDER, out=m)  # M + k
+        k = np.subtract(m, _ROUNDER, out=t)
+        for part in _HALF_PI_PARTS[:-1]:
+            h -= np.multiply(k, part, out=f)  # y, exactly
+        np.multiply(k, _HALF_PI_PARTS[-1], out=f)
+        r = np.subtract(h, f, out=t)
+        lo = np.subtract(np.subtract(h, r, out=h), f, out=h)
+        np.tan(r, out=t)
+        t += np.multiply(np.add(np.multiply(t, t, out=f), 1.0, out=f), lo, out=f)
+        q = np.multiply(t, t, out=f)
+        d = np.add(q, 1.0, out=h)
+        sign = m.view(np.uint64)  # k's parity moved to the sign bit, xor-ed into d
+        np.left_shift(sign, 63, out=sign)
+        np.bitwise_xor(d.view(np.uint64), sign, out=d.view(np.uint64))
         for trig, total in zip(trigs, sums):
-            np.multiply(trig(x, out=f), weights, out=f)
-            np.add.reduce(f, axis=1, out=total[start:start + t.size])
+            term = np.subtract(1.0, q, out=m) if trig is np.cos else t
+            np.divide(term, d, out=m)
+            np.multiply(m, weights, out=m)
+            np.add.reduce(m, axis=1, out=total[start:start + t_k.size])
+    for trig, total in zip(trigs, sums):
+        if trig is np.sin:
+            total *= 2.0  # the sums were of t / d
     return sums
 
 
@@ -165,11 +212,20 @@ def hermite_sweep(n: int, xi):
     xi = np.asarray(xi, dtype=np.float64)[()]
     if not np.isfinite(xi).all():
         raise ValueError("Hermite functions need finite xi")
-    p_prev = np.zeros_like(xi)  # p_{-1} == 0
-    p = np.full_like(xi, np.pi ** -0.25)  # p_0
+    # [()] keeps the state of a scalar xi in float64 scalars
+    p_prev = np.zeros_like(xi)[()]  # p_{-1} == 0
+    p = np.full_like(xi, np.pi ** -0.25)[()]  # p_0
     expo = np.zeros_like(xi)  # carried base-2 exponent
+    # each step writes p_m over p_{m-2} through one spare buffer, in the
+    # operation order of the formula above; scalars need no buffer
+    spare = np.empty_like(xi) if xi.ndim else None
     for m in range(1, n + 1):
-        p_prev, p = p, xi * math.sqrt(2.0 / m) * p - math.sqrt((m - 1.0) / m) * p_prev
+        a = math.sqrt(2.0 / m)
+        p_next = xi * a if spare is None else np.multiply(xi, a, out=spare)
+        p_next *= p
+        p_prev *= math.sqrt((m - 1.0) / m)
+        p_next -= p_prev
+        p_prev, p, spare = p, p_next, None if spare is None else p_prev
         if m % _RESCALE_STRIDE == 0:
             big = np.abs(p) > _RESCALE_LIMIT
             if big.any():

@@ -321,7 +321,11 @@ def main(argv=None) -> int:
         model = SpectrumModel(cfg.field_params())
         table = build_weights(cfg.packet_spec())
         grid = cfg.time_grid()
-        phase_rounding(max_frequency(table, model), grid.t_end)
+        omega_max = max_frequency(table, model)
+        if not math.isfinite(omega_max):
+            raise ValueError("the packet's level frequencies overflow a double")
+        if args.command != "timescales":  # the only command that sums no series
+            phase_rounding(omega_max, grid.t_end)
     except (ValueError, OSError, MemoryError) as err:
         print(f"graphene-revivals: config error: {err}", file=sys.stderr)
         return 1

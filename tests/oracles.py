@@ -42,6 +42,28 @@ def hermite_gaussian_explicit(n: int, xi: float) -> float:
     return math.exp(-0.5 * xi * xi) * poly / norm
 
 
+def hermite_sweep_by_allocation(n: int, xi):
+    """(h_{n-1}(xi), h_n(xi)) by the library's Hermite recurrence as written
+    with one fresh array per operation.
+
+    The same operations in the same order as _kernels.hermite_sweep (the
+    normalized three-term recurrence, a 2^-500 rescale of every point past
+    2^500 checked each 16 steps, and the Gaussian attached in log space at the
+    end), so the two must agree byte for byte; only the buffers differ.
+    """
+    xi = np.asarray(xi, dtype=np.float64)
+    p_prev, p, expo = np.zeros_like(xi), np.full_like(xi, np.pi ** -0.25), np.zeros_like(xi)
+    for m in range(1, n + 1):
+        p_prev, p = p, xi * math.sqrt(2.0 / m) * p - math.sqrt((m - 1.0) / m) * p_prev
+        if m % 16 == 0:
+            big = np.abs(p) > 2.0 ** 500
+            p = np.where(big, p * 2.0 ** -500, p)
+            p_prev = np.where(big, p_prev * 2.0 ** -500, p_prev)
+            expo = np.where(big, expo + 500.0, expo)
+    scale = np.exp(expo * math.log(2.0) - 0.5 * xi * xi)
+    return p_prev * scale, p * scale
+
+
 def truncation_half_width(n0: int, sigma: float, tol: float) -> int:
     """Smallest k whose excluded Gaussian amplitude weight is below tol of the
     total, with both excluded tails and the total summed exactly (math.fsum).

@@ -425,12 +425,13 @@ def test_underflowed_grid_end_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, bands, code", [
     ("autocorr", "pos", 0), ("current", "pos", 0),
-    ("autocorr", "both", 1), ("current", "both", 1), ("timescales", "both", 1),
+    ("autocorr", "both", 1), ("current", "both", 1), ("timescales", "both", 0),
 ])
 def test_phase_precheck_counts_two_band_sum_frequencies(tmp_path, capsys,
                                                          command, bands, code):
     # E_27/hbar * 3e-3 s rounds by 6.0e-4 rad, below the 1e-3 rad limit; the
     # two-band bound 2 E_27/hbar doubles it past the limit, for every command
+    # that sums a series; timescales sums none, so no phase refuses it
     out = tmp_path / "x.csv"
     assert run_cli(command, "--bands", bands, "--B", "10", "--n0", "15",
                    "--sigma", "3", "--t-end-fs", "3e12", "--samples", "4",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from graphene_revivals import PacketSpec, SpectrumModel, _kernels, build_weights, observables
 from graphene_revivals.cli import RunConfig
 
-from oracles import exact_sums_of_phases, exact_trig_sums
+from oracles import exact_sums_of_phases, exact_trig_sums, hermite_sweep_by_allocation
 
 
 def test_trig_series_shape_validation():
@@ -32,18 +32,26 @@ def test_trig_series_rejects_non_vector_input(weights, omegas, times):
 
 
 def test_two_pi_parts_split_two_pi_exactly_enough():
-    parts = _kernels._TWO_PI_PARTS
-    with mp.workdps(60):
-        residual = abs(mp.fsum(mp.mpf(p) for p in parts) - 2 * mp.pi)
-        assert residual <= 2 * mp.pi * mp.mpf(2) ** -100
-    # k * P_i is exact while bits(k) + bits(P_i) <= 53, for every k up to the
-    # largest phase phase_rounding admits
+    # the kernel reduces the half-phase x/2 mod pi/2 with the 2pi parts / 4,
+    # so a phase x takes |x|/pi turns; each quarter must be exact
+    two_pi_parts, half_pi_parts = _kernels._TWO_PI_PARTS, _kernels._HALF_PI_PARTS
+    assert len(half_pi_parts) == len(two_pi_parts)
+    assert all(q * 4.0 == p for q, p in zip(half_pi_parts, two_pi_parts))
     eps = np.finfo(np.float64).eps
-    max_turns = math.ceil(_kernels.PHASE_ROUNDING_LIMIT / eps / (2.0 * math.pi))
-    for p in parts[:4]:
-        significant_bits = p.as_integer_ratio()[0].bit_length()
-        assert significant_bits <= 12
-        assert max_turns.bit_length() + significant_bits <= 53
+    max_phase = _kernels.PHASE_ROUNDING_LIMIT / eps  # the largest phase_rounding admits
+    for parts, period_in_pi, phase_per_turn in ((two_pi_parts, 2.0, 2.0 * math.pi),
+                                                (half_pi_parts, 0.5, math.pi)):
+        with mp.workdps(60):
+            period = period_in_pi * mp.pi
+            residual = abs(mp.fsum(mp.mpf(p) for p in parts) - period)
+            assert residual <= period * mp.mpf(2) ** -100
+        # k * P_i is exact while bits(k) + bits(P_i) <= 53, for every k up to
+        # the largest phase phase_rounding admits
+        max_turns = math.ceil(max_phase / phase_per_turn)
+        for p in parts[:4]:
+            significant_bits = p.as_integer_ratio()[0].bit_length()
+            assert significant_bits <= 12
+            assert max_turns.bit_length() + significant_bits <= 53
 
 
 def test_hermite_sweep_rejects_negative_order():
@@ -59,6 +67,15 @@ def test_hermite_sweep_scalar_matches_one_element_array(n, xi):
                              _kernels.hermite_sweep(n, np.array([xi]))):
         assert np.ndim(scalar) == 0
         assert scalar.tobytes() == array[0].tobytes()
+
+
+@pytest.mark.parametrize("n, xi", [(10000, np.linspace(-150.0, 150.0, 4001)), (754, 38.6)])
+def test_hermite_sweep_bits_match_the_allocating_recurrence(n, xi):
+    # the in-place sweep keeps every operation and its order; (10000, 4001
+    # points over [-150, 150]) is the library benchmark's eigenspinor grid
+    for got, expected in zip(_kernels.hermite_sweep(n, xi), hermite_sweep_by_allocation(n, xi)):
+        assert np.ndim(got) == np.ndim(xi)
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_phase_rounding_bound_arithmetic():
@@ -101,6 +118,49 @@ def test_trig_series_error_model_against_exact_sums():
         got = _kernels.trig_series(weights, om, t, np.cos, np.sin)
         for g, e in zip(got, exact):
             assert np.abs(g - e).max() <= bound
+
+
+def test_trig_series_per_element_error_against_mpmath():
+    # With one unit weight each value is the evaluated cos or sin of the float
+    # phase itself (the product by 1 is exact), so the derived per-term bound
+    # |f~ - f(x)| + eps/2 * |f(x)| <= 2 eps of the trig_series docstring
+    # applies element by element. Phases: every magnitude up to 4.4e12 rad;
+    # the doubles at and next to k*pi/2, where the reduced tangent is 0 or
+    # +-1 and k may round either way; and the cosine's worst case, a reduced
+    # tangent of 1/2
+    rng = np.random.default_rng(20)
+    eps = np.finfo(np.float64).eps
+    spread = 10.0 ** rng.uniform(-3.0, math.log10(4.4e12), 3000) * rng.choice([-1.0, 1.0], 3000)
+    k = np.unique(np.rint(10.0 ** rng.uniform(0.0, math.log10(4.4e12 / (np.pi / 2)), 200)))
+    quarter_turns = k * (np.pi / 2)
+    near = [np.nextafter(quarter_turns, np.inf), np.nextafter(quarter_turns, -np.inf),
+            quarter_turns * (1 + 1e-12), quarter_turns * (1 - 1e-12)]
+    worst = 2.0 * math.atan(0.5) + np.rint(k / 2) * np.pi
+    phases = np.concatenate([[0.0, -0.0, 5e-324], spread, quarter_turns, *near, worst])
+    got = _kernels.trig_series(np.ones(1), np.ones(1), phases, np.cos, np.sin)
+    exact = exact_sums_of_phases(np.ones(1), phases[:, np.newaxis])
+    with mp.workdps(60):
+        for g, e in zip(got, exact):
+            excess = max(abs(mp.mpf(float(gk)) - ek) + eps / 2 * abs(ek) for gk, ek in zip(g, e))
+            assert excess <= 2 * eps
+
+
+@pytest.mark.parametrize("trigs", [(np.cos,), (np.sin,), (np.cos, np.sin), (np.sin, np.cos)])
+def test_trig_series_function_bits_do_not_depend_on_the_request(trigs):
+    # cos and sin share one tangent per phase; each function's bytes must be
+    # those it has when requested alone
+    rng = np.random.default_rng(6)
+    weights, omegas = rng.random(25), 1e15 * rng.uniform(-1, 1, 25)
+    times = np.linspace(-4e-7, 4.4e-3, 3000)
+    got = _kernels.trig_series(weights, omegas, times, *trigs)
+    for trig, values in zip(trigs, got):
+        (alone,) = _kernels.trig_series(weights, omegas, times, trig)
+        assert values.tobytes() == alone.tobytes()
+
+
+def test_trig_series_evaluates_cos_and_sin_only():
+    with pytest.raises(ValueError, match="np.cos and np.sin only"):
+        _kernels.trig_series(np.ones(3), np.ones(3), np.linspace(0, 1, 5), np.cos, np.tan)
 
 
 _unit = st.floats(-1.0, 1.0)
@@ -172,10 +232,11 @@ def test_trig_series_memory_grows_by_the_outputs_only(trigs):
 
 @pytest.mark.parametrize("trigs", [(np.sin,), (np.cos, np.sin)])
 def test_trig_series_holds_outputs_and_three_block_buffers(trigs):
-    # The traced peak is the float64 outputs, the three (rows, L) block
-    # buffers and two numpy ufunc buffers of np.getbufsize() float64 each
+    # The traced peak is the float64 outputs, the block buffers (four of
+    # 3/4 * BLOCK_ELEMENTS, no more than the three of BLOCK_ELEMENTS counted
+    # here) and two numpy ufunc buffers of np.getbufsize() float64 each
     # (the slack doubles with np.setbufsize(16384)). What is left, Python
-    # objects, measured 1.6-2.8 KiB at 2000 x 50 (2 vCPUs, numpy 2.4.6);
+    # objects, measured 1.6-2.9 KiB at 2000 x 50 (2 vCPUs, numpy 2.4.6);
     # 8 KiB is allowed for it.
     rng = np.random.default_rng(3)
     n_t, n_l = 2000, 50
