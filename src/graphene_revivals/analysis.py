@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import E_CHARGE, FieldParams
+from .constants import E_CHARGE, HBAR, FieldParams
 from .observables import ObservableSeries, TimeGrid, currents, damped
 from .spectrum import SpectrumModel, TimeScales, timescales
 from .wavepacket import PacketSpec, build_weights
@@ -48,10 +48,9 @@ SPECTRUM_PAD = 32
 # log-scale visibility (20 decades of dynamic range).
 LOG_VISIBILITY_FLOOR = 1e-20
 
-# estimate_gamma_max bisects Gamma over [0, GAMMA_BRACKET] [J] down to
-# GAMMA_TOL [J], on a GAMMA_SAMPLES-point grid over 1.06 * T_r.
+# estimate_gamma_max solves for Gamma in [0, GAMMA_BRACKET] [J], on a
+# GAMMA_SAMPLES-point grid over 1.06 * T_r.
 GAMMA_BRACKET = 20e-3 * E_CHARGE
-GAMMA_TOL = 0.05e-3 * E_CHARGE
 GAMMA_SAMPLES = 40001
 
 
@@ -199,8 +198,10 @@ def dominant_period(series: ObservableSeries, window: tuple[float, float]) -> fl
     vw = v[mask]
     if vw.size < 8:
         raise ValueError("window contains too few samples for a spectrum")
-    vw = vw - vw.mean()
-    spec = np.abs(np.fft.rfft(vw * np.hanning(vw.size), n=SPECTRUM_PAD * vw.size))
+    tapered = (vw - vw.mean()) * np.hanning(vw.size)
+    if not tapered.any():
+        raise ValueError("no oscillatory component found in the window")
+    spec = np.abs(np.fft.rfft(tapered, n=SPECTRUM_PAD * vw.size))
     freqs = np.fft.rfftfreq(SPECTRUM_PAD * vw.size, d=series.grid.spacing)
     i = int(np.argmax(spec[1:])) + 1
     if 1 <= i < spec.size - 1:
@@ -226,13 +227,16 @@ def station_visible_log(series: ObservableSeries, scales: TimeScales,
     A window with no nonzero value (any window of a zero series) is not visible.
     """
     v = np.abs(_require_real(series))
-    t = series.grid.times
-    t_st = fraction * scales.t_revival
-    mask = np.abs(t - t_st) <= STATION_WINDOW * t_st
+    peak = float(v[_station_window(series, fraction * scales.t_revival)].max())
+    return peak > 0.0 and peak >= floor * float(v.max())
+
+
+def _station_window(series: ObservableSeries, t_station: float) -> np.ndarray:
+    """Mask of the samples within +-STATION_WINDOW of a station time [s]."""
+    mask = np.abs(series.grid.times - t_station) <= STATION_WINDOW * t_station
     if not mask.any():
         raise ValueError("station window lies outside the series")
-    peak = float(v[mask].max())
-    return peak > 0.0 and peak >= floor * float(v.max())
+    return mask
 
 
 def default_gamma_criterion(series: ObservableSeries, scales: TimeScales) -> bool:
@@ -243,31 +247,39 @@ def default_gamma_criterion(series: ObservableSeries, scales: TimeScales) -> boo
     under the exp(-2*Gamma*t/hbar) envelope, so early-time structure is the
     last survivor and the natural visibility anchor.
     """
-    return station_visible_log(series, scales, fraction=0.25)
+    return station_visible_log(series, scales, STATION_FRACTIONS[0])
 
 
 def estimate_gamma_max(packet: PacketSpec, field: FieldParams) -> float:
-    """Largest level width [J] at which current revivals stay visible.
-
-    Bisects :func:`default_gamma_criterion` on the broadened j_y series over
-    Gamma in [0, GAMMA_BRACKET] down to GAMMA_TOL (0.05 meV). The criterion
-    must hold at Gamma = 0 and is monotone (a larger width never improves
-    visibility under the global exp(-2*Gamma*t/hbar) envelope).
-    """
+    """Largest level width [J] in [0, GAMMA_BRACKET] at which current revivals
+    stay visible: :func:`default_gamma_criterion` on the broadened j_y series
+    (it must hold at Gamma = 0), solved exactly. With a = log|j_y|, s = 2t/hbar
+    on the nonzero samples and W the station window, it reads max_W(a - Gamma*s)
+    >= log(floor) + max(a - Gamma*s). Only strict prefix maxima of a attain either
+    maximum; window maximum i passes against each series maximum j on one side of
+    (a_i - a_j - log(floor)) / (s_i - s_j), so on one interval [lo_i, hi_i], and
+    the result is the largest hi_i of a nonempty interval."""
     model = SpectrumModel(field)
     scales = timescales(model, packet.n0)
     grid = TimeGrid(0.0, 1.06 * scales.t_revival, GAMMA_SAMPLES)
     _, jy = currents(build_weights(packet), model, grid)
-    if not default_gamma_criterion(damped(jy, 0.0), scales):
+    nonzero = jy.values != 0.0
+    a = np.log(np.abs(jy.values[nonzero]))
+    s = 2.0 * grid.times[nonzero] / HBAR
+    window = _station_window(jy, STATION_FRACTIONS[0] * scales.t_revival)[nonzero]
+    i = _prefix_maxima(np.where(window, a, -np.inf))[:, None]
+    j = _prefix_maxima(a)[None, :]
+    ds = s[i] - s[j]  # 0 only where i = j, which bounds neither side
+    bound = (a[i] - a[j] - np.log(LOG_VISIBILITY_FLOOR)) / np.where(ds == 0.0, 1.0, ds)
+    hi = np.where(ds > 0.0, bound, np.inf).min(axis=1, initial=GAMMA_BRACKET)
+    lo = np.where(ds < 0.0, bound, -np.inf).max(axis=1, initial=0.0)
+    feasible = lo <= hi
+    if not (default_gamma_criterion(damped(jy, 0.0), scales) and feasible.any()):
         raise ValueError("revivals are not visible even at zero broadening; "
                          "the criterion cannot bound the width")
-    lo, hi = 0.0, GAMMA_BRACKET
-    if default_gamma_criterion(damped(jy, hi), scales):
-        return hi  # visible across the whole bracket
-    while hi - lo > GAMMA_TOL:
-        mid = 0.5 * (lo + hi)
-        if default_gamma_criterion(damped(jy, mid), scales):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(hi[feasible].max())
+
+
+def _prefix_maxima(a: np.ndarray) -> np.ndarray:
+    """Indices of the strict prefix maxima of a (each above all before it)."""
+    return np.flatnonzero(a > np.maximum.accumulate(np.r_[-np.inf, a])[:-1])

@@ -9,7 +9,7 @@ from scipy import signal
 from graphene_revivals import (HBAR, FieldParams, ObservableSeries, PacketSpec,
                                SpectrumModel, TimeGrid, TimeScales,
                                abs_squared, autocorrelation, build_weights,
-                               current_single_band,
+                               current_single_band, current_two_band, damped,
                                default_gamma_criterion, detect_revivals,
                                dominant_period, estimate_gamma_max, find_peaks,
                                measure_period, station_visible_log, timescales)
@@ -280,6 +280,24 @@ def test_period_needs_crossings():
         measure_period(series, (0.0, t_end))
 
 
+@pytest.mark.parametrize("values", [np.zeros(1001), np.full(1001, 0.5)])
+def test_dominant_period_rejects_flat_window(values):
+    # a flat window has no spectral peak; the zero-padded periodogram used to
+    # report its first bin, 32 times the window length
+    series = series_of(values, t_end=1e-12)
+    with pytest.raises(ValueError, match="no oscillatory component"):
+        dominant_period(series, (0.0, 1e-12))
+
+
+def test_dominant_period_rejects_two_band_jx(model10):
+    # the two-band j_x is identically zero
+    table = build_weights(PacketSpec(15, 3.0, "both"))
+    jx, _ = current_two_band(table, model10, TimeGrid(0.0, 1e-12, 1001))
+    assert not jx.values.any()
+    with pytest.raises(ValueError, match="no oscillatory component"):
+        dominant_period(jx, (0.0, 1e-12))
+
+
 def test_classical_period_of_current(model10):
     ts = timescales(model10, 15)
     table = build_weights(PacketSpec(15, 3.0))
@@ -356,3 +374,66 @@ def test_gamma_max_rejects_hopeless_criterion(field10, monkeypatch):
     monkeypatch.setattr(analysis, "default_gamma_criterion", lambda s, t: False)
     with pytest.raises(ValueError):
         estimate_gamma_max(PacketSpec(15, 3.0), field10)
+
+
+def gamma_criterion(packet, field):
+    """default_gamma_criterion as a function of the width, on the j_y series
+    that estimate_gamma_max solves it for."""
+    model = SpectrumModel(field)
+    ts = timescales(model, packet.n0)
+    grid = TimeGrid(0.0, 1.06 * ts.t_revival, analysis.GAMMA_SAMPLES)
+    _, jy = currents(build_weights(packet), model, grid)
+    return lambda gamma: default_gamma_criterion(damped(jy, gamma), ts)
+
+
+@pytest.mark.parametrize("packet", [
+    PacketSpec(15, 3.0), PacketSpec(15, 3.0, "both"), PacketSpec(11, 3.0),
+    PacketSpec(30, 5.0), PacketSpec(11, 40.0), PacketSpec(20000, 3.0)],
+    ids=lambda p: f"{p.n0}-{p.sigma:g}-{p.bands}")
+def test_gamma_max_is_the_criterion_edge(packet, field10):
+    # the criterion holds just below the estimate and fails just above it,
+    # at every scale: 3.3 meV at n0 15, 6.6e-5 meV at n0 20000
+    gmax = estimate_gamma_max(packet, field10)
+    visible = gamma_criterion(packet, field10)
+    assert 0.0 < gmax < analysis.GAMMA_BRACKET
+    assert visible(gmax * (1 - 1e-9))
+    assert not visible(gmax * (1 + 1e-9))
+
+
+def test_gamma_max_visible_across_bracket_is_bracket_top(field10):
+    # at n0 1 the criterion holds far past 20 meV
+    gmax = estimate_gamma_max(PacketSpec(1, 3.0), field10)
+    assert gmax == analysis.GAMMA_BRACKET
+    assert gamma_criterion(PacketSpec(1, 3.0), field10)(gmax)
+
+
+@pytest.mark.parametrize("packet", [PacketSpec(15, 3.0), PacketSpec(30, 5.0),
+                                    PacketSpec(20000, 3.0)],
+                         ids=lambda p: f"{p.n0}-{p.sigma:g}")
+def test_gamma_max_agrees_with_dense_scan(packet, field10):
+    # the largest scanned width that meets the criterion lies within one step
+    # below the estimate, and no scanned width above it meets it; the scan is
+    # the whole bracket plus +-1% of the estimate in relative steps of 1e-4,
+    # none of which lands on the estimate itself
+    gmax = estimate_gamma_max(packet, field10)
+    visible = gamma_criterion(packet, field10)
+    near = gmax * np.linspace(0.99, 1.01, 200)
+    whole = np.linspace(0.0, analysis.GAMMA_BRACKET, 501)
+    passing = [g for g in np.concatenate((near, whole)) if visible(g)]
+    assert max(passing) <= gmax < max(passing) + (near[1] - near[0])
+
+
+@settings(max_examples=6, deadline=None)
+@given(n0=st.integers(1, 60), sigma=st.floats(0.5, 10.0),
+       bands=st.sampled_from(["positive", "negative", "both"]))
+def test_gamma_max_property(n0, sigma, bands):
+    field = FieldParams(10.0)
+    packet = PacketSpec(n0, sigma, bands)
+    try:
+        gmax = estimate_gamma_max(packet, field)
+    except ValueError:
+        return
+    visible = gamma_criterion(packet, field)
+    assert 0.0 <= gmax <= analysis.GAMMA_BRACKET
+    assert visible(gmax * (1 - 1e-9))
+    assert gmax == analysis.GAMMA_BRACKET or not visible(gmax * (1 + 1e-9))
