@@ -11,6 +11,16 @@ import math
 
 import numpy as np
 
+# np.einsum(..., optimize=False) only forwards to this C function. Its Python
+# wrapper repacks the arguments on every call, and the traced size of those
+# small allocations varies over a process's first passes, so a tracemalloc
+# peak of the first traced pass would not repeat. numpy < 2 names the module
+# numpy.core.multiarray.
+try:
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _c_einsum
+
 
 # --- weighted trigonometric series -----------------------------------------
 #
@@ -33,9 +43,13 @@ import numpy as np
 # Each phase is x = fl(om_j * t_k), the product np.outer gives, halved
 # exactly: h = x / 2 is computed as t_k * (om_j / 2), which rounds the same
 # real number at half the scale (om_j / 2 is exact unless om_j is
-# subnormal). Both functions come from one np.tan of the reduced half-phase:
-# numpy's SIMD tan costs about 3 ns per element where libm's sin and cos
-# cost 19-21 ns on [-pi, pi], and more above ~1e8 rad.
+# subnormal). One einsum("i,j->ij") per block forms these products, the
+# same IEEE products as a broadcast multiply without its per-row overhead;
+# it adds each to a zeroed output, so an exact zero is +0, a sign no output
+# can see, as the level sums start from +0 too. Both functions come from
+# one np.tan of the reduced half-phase: numpy's SIMD tan costs about 3 ns
+# per element where libm's sin and cos cost 19-21 ns on [-pi, pi], and more
+# above ~1e8 rad.
 #
 # Reduction (Cody-Waite, mod pi/2 on h): k is the nearest integer to
 # fl(h * 2/pi), taken as M + k = fl(fl(h * 2/pi) + M) with M = 1.5 * 2^52,
@@ -59,12 +73,20 @@ import numpy as np
 # the flip is exact; the 2 of the sine is applied to the finished sum, also
 # exactly. One t serves both functions of a one-band series.
 #
-# The sums over j are np.add.reduce over each row of w_j * f(x), not a BLAS
-# product: a gemv splits the sum by thread, so its last bits would depend
-# on the BLAS thread count, and outputs must repeat byte for byte on any
-# machine.
+# The sum over j of each row is one einsum("ij,j->i", f(x), w): the weight
+# multiply and the sum in one pass of numpy's own sum-of-products loop. Its
+# order within a row depends on L only, under two conditions kept here: a
+# strided operand takes another loop, so the inputs are made contiguous; and
+# a row longer than einsum's 8192-element buffer is cut where the number of
+# rows decides, so such rows go one per block. einsum makes no BLAS call
+# (only its optimize path would): a gemv splits the sum by thread, so its
+# last bits would depend on the BLAS thread count, and outputs must repeat
+# byte for byte on any machine. einsum is built for numpy's baseline
+# (X86_V2 on x86-64: no FMA) with no runtime dispatch, so its bytes do not
+# change with NPY_DISABLE_CPU_FEATURES either; np.tan's do.
 
 BLOCK_ELEMENTS = 1 << 15  # four buffers of 3/4 of it: 768 KiB of float64
+_EINSUM_BUFFER = 8192  # numpy's NPY_BUFSIZE; np.setbufsize does not reach einsum
 _TWO_PI_PARTS = tuple(float.fromhex(h) for h in (
     "0x1.92p+2", "0x1.fb4p-10", "0x1.444p-22", "0x1.68cp-37", "0x1.1a62633145c07p-52"))
 _HALF_PI_PARTS = tuple(p / 4.0 for p in _TWO_PI_PARTS)
@@ -92,7 +114,7 @@ def phase_rounding(max_omega: float, max_time: float) -> float:
 
 
 def _vector(name, values):
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64, order="C")
     if values.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {values.shape}")
     return values
@@ -113,9 +135,10 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
     The largest value is the cosine's near T = 1/2: 1.85 * eps at c = 0.573,
     the largest error measured for numpy's float64 tan on that range. So
     each product w_j * f~, rounded once, is within 2 * eps * |w_j| of
-    w_j * f(x), and the L-term sum adds at most (L - 1) roundings along any
-    path; against the exact sums of cos/sin of the same float phases every
-    value is off by
+    w_j * f(x). The L-term sum, one einsum contraction per row (numpy's own
+    loop, no BLAS, no FMA) whose order depends on L only, adds at most
+    (L - 1) roundings along any path; against the exact sums of cos/sin of
+    the same float phases every value is off by
 
         |err_k| <= eps * (L + 3) / 2 * sum_j |w_j|
 
@@ -147,12 +170,12 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
     if n_t == 0 or n_l == 0:
         return sums
     half_omegas = 0.5 * omegas
-    rows = min(n_t, max(1, 3 * BLOCK_ELEMENTS // (4 * n_l)))
+    rows = 1 if n_l > _EINSUM_BUFFER else min(n_t, max(1, 3 * BLOCK_ELEMENTS // (4 * n_l)))
     phase, turns, tangent, scratch = (np.empty((rows, n_l)) for _ in range(4))
     for start in range(0, n_t, rows):
         t_k = times[start:start + rows]
         h, m, t, f = phase[:t_k.size], turns[:t_k.size], tangent[:t_k.size], scratch[:t_k.size]
-        np.multiply(t_k[:, np.newaxis], half_omegas, out=h)
+        _c_einsum("i,j->ij", t_k, half_omegas, out=h)
         np.add(np.multiply(h, _TWO_OVER_PI, out=m), _ROUNDER, out=m)  # M + k
         k = np.subtract(m, _ROUNDER, out=t)
         for part in _HALF_PI_PARTS[:-1]:
@@ -169,9 +192,8 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
         np.bitwise_xor(d.view(np.uint64), sign, out=d.view(np.uint64))
         for trig, total in zip(trigs, sums):
             term = np.subtract(1.0, q, out=m) if trig is np.cos else t
-            np.divide(term, d, out=m)
-            np.multiply(m, weights, out=m)
-            np.add.reduce(m, axis=1, out=total[start:start + t_k.size])
+            _c_einsum("ij,j->i", np.divide(term, d, out=m), weights,
+                      out=total[start:start + t_k.size])
     for trig, total in zip(trigs, sums):
         if trig is np.sin:
             total *= 2.0  # the sums were of t / d

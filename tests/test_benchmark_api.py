@@ -7,7 +7,11 @@ these tests catch that here. They read perfbench/ and change nothing there.
 """
 
 import importlib
+import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +83,44 @@ def test_library_pass_runs():
     assert len(library.digests(results)) == 10
     checked = library.check_values(results, [0, 1, 4000], params)
     assert all(len(classes) == 4 for classes in checked["classes"].values())
+
+
+# a perfbench library child in a fresh process: one warm-up pass, then two
+# traced passes; prints each pass's trig_series peaks
+_TRACED_LIBRARY_PASSES = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import graphene_revivals as gr
+import library, tracer
+params = json.loads(sys.argv[2])
+library.run_pass(gr, params)
+peaks = []
+for _ in range(2):
+    rec = tracer.Recorder()
+    undo = tracer.install(rec)
+    library.run_pass(gr, params)
+    tracer.restore(undo)
+    peaks.append([s[5]["peak_alloc_bytes"] for s in rec.spans if s[0] == "kernels.trig_series"])
+print(json.dumps(peaks))
+"""
+
+
+def test_traced_library_passes_repeat_the_kernel_peaks():
+    # perfbench counts kernels.peak_alloc_mb as a count that must repeat from
+    # pass to pass, so the first traced pass of a new process must see the
+    # same tracemalloc peak in every trig_series call as the next one
+    params = {"B": 10.0, "n0": 15, "samples": 4001, "gamma_mev": 0.7,
+              "deloc_n0": 11, "deloc_sigma": 40.0, "hermite_order": 100,
+              "hermite_points": 4001, "hermite_half_width": 150.0}
+    src = str(Path(gr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _TRACED_LIBRARY_PASSES, str(PERFBENCH),
+                           json.dumps(params)], env=env, check=True, capture_output=True,
+                          text=True, timeout=120)
+    first, second = json.loads(done.stdout)
+    assert len(first) == 8  # the kernel calls of one pass
+    assert first == second
 
 
 @pytest.mark.parametrize("workload", ["default-mix", "long-grid", "wide-band"])

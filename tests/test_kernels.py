@@ -201,6 +201,54 @@ def test_trig_series_bits_do_not_depend_on_the_block_size(monkeypatch, n_l):
             assert g.tobytes() == r.tobytes()
 
 
+@pytest.mark.parametrize("n_l", [8193, 20000])
+def test_trig_series_bits_do_not_depend_on_the_block_size_past_8192_levels(monkeypatch, n_l):
+    # einsum cuts a sum longer than its 8192-element buffer at places that
+    # depend on how many rows it is given; each row must keep its own bits
+    rng = np.random.default_rng(n_l)
+    weights, omegas = rng.random(n_l), 1e15 * rng.uniform(-1, 1, n_l)
+    times = np.linspace(-4e-7, 4.4e-3, 6)
+    one_by_one = [_kernels.trig_series(weights, omegas, times[k:k + 1], np.cos, np.sin)
+                  for k in range(times.size)]
+    for rows in (2, 3, 6):
+        # the smallest budget that the default rule turns into this many rows
+        monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", -(-4 * rows * n_l // 3))
+        got = _kernels.trig_series(weights, omegas, times, np.cos, np.sin)
+        for g, alone in zip(got, zip(*one_by_one)):
+            assert g.tobytes() == np.concatenate(alone).tobytes(), rows
+
+
+@pytest.mark.parametrize("n_l", [3, 25, 286])
+def test_trig_series_bits_do_not_depend_on_input_layout(n_l):
+    # einsum takes another inner loop, and another sum order, for a strided
+    # operand; the kernel makes its inputs contiguous first
+    rng = np.random.default_rng(n_l)
+    weights, omegas = rng.random(n_l), 1e15 * rng.uniform(-1, 1, n_l)
+    times = np.linspace(-4e-7, 4.4e-3, 1000)
+
+    def strided(x):
+        return np.repeat(x, 2)[::2]
+
+    def reversed_(x):
+        return x[::-1].copy()[::-1]
+
+    def offset(x):  # 8 bytes past the start of its buffer
+        view = np.empty(x.size + 1)[1:]
+        view[:] = x
+        return view
+
+    inputs = (weights, omegas, times)
+    reference = _kernels.trig_series(*inputs, np.cos, np.sin)
+    for position in range(3):
+        for view in (strided, reversed_, offset):
+            args = list(inputs)
+            args[position] = view(inputs[position])
+            assert args[position].tobytes() == inputs[position].tobytes()
+            got = _kernels.trig_series(*args, np.cos, np.sin)
+            for g, r in zip(got, reference):
+                assert g.tobytes() == r.tobytes(), (position, view.__name__)
+
+
 def test_trig_series_empty_grid_and_empty_level_set():
     # T = 0 gives empty sums, L = 0 gives zeros
     for weights, times in ((np.ones(3), np.array([])), (np.array([]), np.linspace(0, 1, 5))):
@@ -232,18 +280,18 @@ def test_trig_series_memory_grows_by_the_outputs_only(trigs):
 
 @pytest.mark.parametrize("trigs", [(np.sin,), (np.cos, np.sin)])
 def test_trig_series_holds_outputs_and_three_block_buffers(trigs):
-    # The traced peak is the float64 outputs, the block buffers (four of
+    # The traced peak is the float64 outputs and the block buffers (four of
     # 3/4 * BLOCK_ELEMENTS, no more than the three of BLOCK_ELEMENTS counted
-    # here) and two numpy ufunc buffers of np.getbufsize() float64 each
-    # (the slack doubles with np.setbufsize(16384)). What is left, Python
-    # objects, measured 1.6-2.9 KiB at 2000 x 50 (2 vCPUs, numpy 2.4.6);
-    # 8 KiB is allowed for it.
+    # here). No pass broadcasts a row, so numpy holds no ufunc buffer of
+    # np.getbufsize() floats, and the peak does not move with
+    # np.setbufsize. What is left, Python objects, measured 3.4-3.5 KiB at
+    # 2000 x 50 (2 vCPUs, numpy 2.4.6); 8 KiB is allowed for it.
     rng = np.random.default_rng(3)
     n_t, n_l = 2000, 50
     weights, omegas = rng.random(n_l), rng.random(n_l) * 1e3
     times = np.linspace(0.0, 1.0, n_t)
     rows = min(n_t, _kernels.BLOCK_ELEMENTS // n_l)
-    expected = 8 * (len(trigs) * n_t + 3 * rows * n_l + 2 * np.getbufsize())
+    expected = 8 * (len(trigs) * n_t + 3 * rows * n_l)
     tracemalloc.start()
     try:
         _kernels.trig_series(weights, omegas, times, *trigs)
