@@ -14,12 +14,8 @@ import numpy as np
 # np.einsum(..., optimize=False) only forwards to this C function. Its Python
 # wrapper repacks the arguments on every call, and the traced size of those
 # small allocations varies over a process's first passes, so a tracemalloc
-# peak of the first traced pass would not repeat. numpy < 2 names the module
-# numpy.core.multiarray.
-try:
-    from numpy._core.multiarray import c_einsum as _c_einsum
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import c_einsum as _c_einsum
+# peak of the first traced pass would not repeat.
+from numpy._core.multiarray import c_einsum as _c_einsum
 
 
 # --- weighted trigonometric series -----------------------------------------
@@ -47,31 +43,16 @@ except ImportError:  # numpy < 2
 # same IEEE products as a broadcast multiply without its per-row overhead;
 # it adds each to a zeroed output, so an exact zero is +0, a sign no output
 # can see, as the level sums start from +0 too. Both functions come from
-# one np.tan of the reduced half-phase: numpy's SIMD tan costs about 3 ns
-# per element where libm's sin and cos cost 19-21 ns on [-pi, pi], and more
-# above ~1e8 rad.
+# one np.tan of the half-phase, with no argument reduction of the kernel's
+# own (numpy's tan reduces h itself): with t = tan(h), q = t^2 and d = 1 + q,
 #
-# Reduction (Cody-Waite, mod pi/2 on h): k is the nearest integer to
-# fl(h * 2/pi), taken as M + k = fl(fl(h * 2/pi) + M) with M = 1.5 * 2^52,
-# so the last bit of M + k is k's parity. Then
-# y = h - k*Q1 - k*Q2 - k*Q3 - k*Q4, r = fl(y - k*Q5) and the low word
-# lo = (y - r) - k*Q5, where Q_i = _TWO_PI_PARTS[i] / 4 (exact) sum to pi/2 to
-# more than 100 bits. Q1..Q4 have at most 12 significant bits, so for
-# |k| < 2^41 (every phase phase_rounding admits is below 4.5e12 rad) each
-# k*Q_i, i <= 4, is exact, and so is each difference, whose operands lie on
-# the grid of ulp(h) or of Q_i's last bit and whose result needs fewer than
-# 53 of its bits. r + lo is theta = h - k*pi/2 to within 2e-18 (the parts'
-# 2^-100 and the rounding of k*Q5), and |theta| <= pi/4 + 5e-4, as
-# h * 2/pi rounds before k is taken.
+#   sin(x) = 2t / d,   cos(x) = (1 - q) / d,
 #
-# Evaluation: t = tan(r), carried to tan(theta) by t += (1 + t^2) * lo; then
-# with q = t^2, d = 1 + q and sigma = (-1)^k,
-#
-#   sin(x) = 2t / (sigma * d),   cos(x) = (1 - q) / (sigma * d).
-#
-# sigma enters as the sign bit of d, copied from the parity bit of M + k, so
-# the flip is exact; the 2 of the sine is applied to the finished sum, also
-# exactly. One t serves both functions of a one-band series.
+# for every h, as tan has period pi. numpy's SIMD tan costs about 1.5 ns per
+# element up to ~5e4 rad and ~6 ns above 1e5, where libm's sin and cos cost
+# 19-21 ns on [-pi, pi], and more above ~1e8 rad. The 2 of the sine is
+# applied to the finished sum, exactly. One t serves both functions of a
+# one-band series.
 #
 # The sum over j of each row is one einsum("ij,j->i", f(x), w): the weight
 # multiply and the sum in one pass of numpy's own sum-of-products loop. Its
@@ -87,11 +68,6 @@ except ImportError:  # numpy < 2
 
 BLOCK_ELEMENTS = 1 << 15  # four buffers of 3/4 of it: 768 KiB of float64
 _EINSUM_BUFFER = 8192  # numpy's NPY_BUFSIZE; np.setbufsize does not reach einsum
-_TWO_PI_PARTS = tuple(float.fromhex(h) for h in (
-    "0x1.92p+2", "0x1.fb4p-10", "0x1.444p-22", "0x1.68cp-37", "0x1.1a62633145c07p-52"))
-_HALF_PI_PARTS = tuple(p / 4.0 for p in _TWO_PI_PARTS)
-_TWO_OVER_PI = 2.0 / math.pi
-_ROUNDER = 1.5 * 2.0 ** 52  # fl(y + M) - M is y rounded to an integer, |y| < 2^51
 
 PHASE_ROUNDING_LIMIT = 1e-3  # rad
 
@@ -123,22 +99,34 @@ def _vector(name, values):
 def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *trigs):
     """(sum_j w_j f(om_j t_k) for f in trigs) over the time grid, f np.cos or np.sin.
 
-    Error model, to first order: let x = fl(om_j * t_k), theta its reduced
-    half-phase (|theta| <= pi/4 + 5e-4) and T = tan(theta). With np.tan
-    within c ulp, the corrected t is within c*ulp(T) + ulp(T)/2 + 4e-18 of T.
-    Carrying that, and the roundings of t^2, 1 + t^2, 1 - t^2 (exact for
-    t^2 >= 1/2) and the division, through 2T/(1+T^2) and (1-T^2)/(1+T^2)
-    bounds the evaluated f~ at every theta by
+    Error model, to first order: let x = fl(om_j * t_k), h = x/2 (exact),
+    T = tan(h), which no reduction bounds, and u = eps/2. With np.tan within
+    c ulp, t = T * (1 + a), |a| <= c * ulp(T)/|T|. Every later operation
+    rounds its exact result y by a relative r_y <= (ulp(y)/2)/|y| <= u, where
+    1 - q is exact for 1/2 <= q <= 2^53 and 1 +- q are off by at most 1.
+    Carried through sin x = 2T/(1+T^2) and cos x = (1-T^2)/(1+T^2), with
+    v = T^2/(1+T^2) = sin^2(h), these give
 
-        |f~ - f(x)| + eps/2 * |f(x)| <= 2 * eps      for c <= 0.8.
+        |sin~ - sin x| <= |sin x| * (|a| |cos x| + r_q v + r_d + r_(t/d)),
+        |cos~ - cos x| <= |cos x| * (r_(1-q) + r_d + r_cos) + sin^2 x * (|a| + r_q/2),
 
-    The largest value is the cosine's near T = 1/2: 1.85 * eps at c = 0.573,
-    the largest error measured for numpy's float64 tan on that range. So
-    each product w_j * f~, rounded once, is within 2 * eps * |w_j| of
-    w_j * f(x). The L-term sum, one einsum contraction per row (numpy's own
-    loop, no BLAS, no FMA) whose order depends on L only, adds at most
-    (L - 1) roundings along any path; against the exact sums of cos/sin of
-    the same float phases every value is off by
+    and over every T (2e6 points over 1e-8 <= T <= 1e19 and the binade
+    edges of T, T^2 and 1 +- T^2)
+
+        |f~ - f(x)| + eps/2 * |f(x)| <= 2 * eps      for c <= 0.8
+
+    (it holds up to c = 1.33). At c = 0.8 the largest values are the
+    cosine's 1.75 * eps where T^2 is just above 2^53 and the sine's
+    1.67 * eps at T = 2; bounding every r_y by u instead would give
+    1.99 * eps for the sine near T = 1.5. numpy's float64 tan was measured
+    within 0.555 ulp of 50-digit mpmath for 1e-3 <= h <= 2.2e12, with and
+    without AVX-512. The largest |t| found at admitted phases is 1.6e18,
+    far below the 1.3e154 at which q would overflow. Each product w_j * f~,
+    rounded once, is then within 2 * eps * |w_j| of w_j * f(x). The L-term
+    sum, one einsum contraction per row (numpy's own loop, no BLAS, no FMA)
+    whose order depends on L only, adds at most (L - 1) roundings along any
+    path; against the exact sums of cos/sin of the same float phases every
+    value is off by
 
         |err_k| <= eps * (L + 3) / 2 * sum_j |w_j|
 
@@ -171,28 +159,17 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
         return sums
     half_omegas = 0.5 * omegas
     rows = 1 if n_l > _EINSUM_BUFFER else min(n_t, max(1, 3 * BLOCK_ELEMENTS // (4 * n_l)))
-    phase, turns, tangent, scratch = (np.empty((rows, n_l)) for _ in range(4))
+    phase, tangent, denom, scratch = (np.empty((rows, n_l)) for _ in range(4))
     for start in range(0, n_t, rows):
         t_k = times[start:start + rows]
-        h, m, t, f = phase[:t_k.size], turns[:t_k.size], tangent[:t_k.size], scratch[:t_k.size]
+        h, t, d, f = phase[:t_k.size], tangent[:t_k.size], denom[:t_k.size], scratch[:t_k.size]
         _c_einsum("i,j->ij", t_k, half_omegas, out=h)
-        np.add(np.multiply(h, _TWO_OVER_PI, out=m), _ROUNDER, out=m)  # M + k
-        k = np.subtract(m, _ROUNDER, out=t)
-        for part in _HALF_PI_PARTS[:-1]:
-            h -= np.multiply(k, part, out=f)  # y, exactly
-        np.multiply(k, _HALF_PI_PARTS[-1], out=f)
-        r = np.subtract(h, f, out=t)
-        lo = np.subtract(np.subtract(h, r, out=h), f, out=h)
-        np.tan(r, out=t)
-        t += np.multiply(np.add(np.multiply(t, t, out=f), 1.0, out=f), lo, out=f)
-        q = np.multiply(t, t, out=f)
-        d = np.add(q, 1.0, out=h)
-        sign = m.view(np.uint64)  # k's parity moved to the sign bit, xor-ed into d
-        np.left_shift(sign, 63, out=sign)
-        np.bitwise_xor(d.view(np.uint64), sign, out=d.view(np.uint64))
+        np.tan(h, out=t)
+        q = np.multiply(t, t, out=h)
+        np.add(q, 1.0, out=d)
         for trig, total in zip(trigs, sums):
-            term = np.subtract(1.0, q, out=m) if trig is np.cos else t
-            _c_einsum("ij,j->i", np.divide(term, d, out=m), weights,
+            term = np.subtract(1.0, q, out=f) if trig is np.cos else t
+            _c_einsum("ij,j->i", np.divide(term, d, out=f), weights,
                       out=total[start:start + t_k.size])
     for trig, total in zip(trigs, sums):
         if trig is np.sin:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_CHARGE, HBAR, FieldParams
-from .observables import ObservableSeries, TimeGrid, currents, damped
+from .observables import ObservableSeries, TimeGrid, currents
 from .spectrum import SpectrumModel, TimeScales, timescales
 from .wavepacket import PacketSpec, build_weights
 
@@ -274,7 +274,7 @@ def estimate_gamma_max(packet: PacketSpec, field: FieldParams) -> float:
     hi = np.where(ds > 0.0, bound, np.inf).min(axis=1, initial=GAMMA_BRACKET)
     lo = np.where(ds < 0.0, bound, -np.inf).max(axis=1, initial=0.0)
     feasible = lo <= hi
-    if not (default_gamma_criterion(damped(jy, 0.0), scales) and feasible.any()):
+    if not (default_gamma_criterion(jy, scales) and feasible.any()):
         raise ValueError("revivals are not visible even at zero broadening; "
                          "the criterion cannot bound the width")
     return float(hi[feasible].max())

@@ -31,29 +31,6 @@ def test_trig_series_rejects_non_vector_input(weights, omegas, times):
         _kernels.trig_series(weights, omegas, times, np.cos)
 
 
-def test_two_pi_parts_split_two_pi_exactly_enough():
-    # the kernel reduces the half-phase x/2 mod pi/2 with the 2pi parts / 4,
-    # so a phase x takes |x|/pi turns; each quarter must be exact
-    two_pi_parts, half_pi_parts = _kernels._TWO_PI_PARTS, _kernels._HALF_PI_PARTS
-    assert len(half_pi_parts) == len(two_pi_parts)
-    assert all(q * 4.0 == p for q, p in zip(half_pi_parts, two_pi_parts))
-    eps = np.finfo(np.float64).eps
-    max_phase = _kernels.PHASE_ROUNDING_LIMIT / eps  # the largest phase_rounding admits
-    for parts, period_in_pi, phase_per_turn in ((two_pi_parts, 2.0, 2.0 * math.pi),
-                                                (half_pi_parts, 0.5, math.pi)):
-        with mp.workdps(60):
-            period = period_in_pi * mp.pi
-            residual = abs(mp.fsum(mp.mpf(p) for p in parts) - period)
-            assert residual <= period * mp.mpf(2) ** -100
-        # k * P_i is exact while bits(k) + bits(P_i) <= 53, for every k up to
-        # the largest phase phase_rounding admits
-        max_turns = math.ceil(max_phase / phase_per_turn)
-        for p in parts[:4]:
-            significant_bits = p.as_integer_ratio()[0].bit_length()
-            assert significant_bits <= 12
-            assert max_turns.bit_length() + significant_bits <= 53
-
-
 def test_hermite_sweep_rejects_negative_order():
     with pytest.raises(ValueError):
         _kernels.hermite_sweep(-1, np.zeros(3))
@@ -125,9 +102,10 @@ def test_trig_series_per_element_error_against_mpmath():
     # phase itself (the product by 1 is exact), so the derived per-term bound
     # |f~ - f(x)| + eps/2 * |f(x)| <= 2 eps of the trig_series docstring
     # applies element by element. Phases: every magnitude up to 4.4e12 rad;
-    # the doubles at and next to k*pi/2, where the reduced tangent is 0 or
-    # +-1 and k may round either way; and the cosine's worst case, a reduced
-    # tangent of 1/2
+    # the doubles at and next to k*pi/2, where tan(x/2) is near 0, +-1 or a
+    # pole; the doubles nearest the poles (2k+1)*pi of tan(x/2) and their
+    # neighbours, where t is largest; and the derivation's worst cases at
+    # tan(x/2) = 2 (sine), 1/2 and 2^26.5 (cosine), also shifted by 2*pi*k
     rng = np.random.default_rng(20)
     eps = np.finfo(np.float64).eps
     spread = 10.0 ** rng.uniform(-3.0, math.log10(4.4e12), 3000) * rng.choice([-1.0, 1.0], 3000)
@@ -135,14 +113,42 @@ def test_trig_series_per_element_error_against_mpmath():
     quarter_turns = k * (np.pi / 2)
     near = [np.nextafter(quarter_turns, np.inf), np.nextafter(quarter_turns, -np.inf),
             quarter_turns * (1 + 1e-12), quarter_turns * (1 - 1e-12)]
-    worst = 2.0 * math.atan(0.5) + np.rint(k / 2) * np.pi
-    phases = np.concatenate([[0.0, -0.0, 5e-324], spread, quarter_turns, *near, worst])
+    turns = np.unique(np.rint(10.0 ** rng.uniform(0.0, math.log10(4.4e12 / (2 * np.pi)), 200)))
+    with mp.workdps(60):
+        poles = np.array([float((2 * mp.mpf(float(j)) + 1) * mp.pi) for j in np.r_[0.0, turns]])
+        worst = np.array([float(2 * (mp.atan(tan_h) + mp.mpf(float(j)) * mp.pi))
+                          for tan_h in (2, 0.5, mp.mpf(2) ** 26.5) for j in np.r_[0.0, turns]])
+    at_poles = [poles, np.nextafter(poles, np.inf), np.nextafter(poles, -np.inf)]
+    phases = np.concatenate([[0.0, -0.0, 5e-324], spread, quarter_turns, *near, *at_poles, worst])
     got = _kernels.trig_series(np.ones(1), np.ones(1), phases, np.cos, np.sin)
     exact = exact_sums_of_phases(np.ones(1), phases[:, np.newaxis])
     with mp.workdps(60):
         for g, e in zip(got, exact):
             excess = max(abs(mp.mpf(float(gk)) - ek) + eps / 2 * abs(ek) for gk, ek in zip(g, e))
             assert excess <= 2 * eps
+
+
+def _ulp(exact):
+    """The ulp of the binade holding the real number exact (an mpf)."""
+    nearest = abs(float(exact))
+    if nearest > abs(exact):  # may have rounded up onto a power of two
+        nearest = math.nextafter(nearest, 0.0)
+    return math.ulp(nearest)
+
+
+def test_numpy_tan_is_within_0_8_ulp():
+    # The premise of the trig_series error model, on the installed numpy:
+    # np.tan of a double half-phase is within 0.8 ulp of the exact tangent,
+    # below and above the edge of numpy's fast path near 6.5e4 rad and up to
+    # 2.25e12 rad, half the largest phase phase_rounding admits
+    rng = np.random.default_rng(23)
+    h = np.concatenate([10.0 ** rng.uniform(-3.0, math.log10(2.25e12), 1500),
+                        rng.uniform(3e4, 1.3e5, 500), [2.25e12]])
+    got = np.tan(h)
+    with mp.workdps(50):
+        exact = (mp.tan(mp.mpf(float(x))) for x in h)
+        worst = max(float(abs(mp.mpf(float(g)) - e)) / _ulp(e) for g, e in zip(got, exact))
+    assert worst <= 0.8
 
 
 @pytest.mark.parametrize("trigs", [(np.cos,), (np.sin,), (np.cos, np.sin), (np.sin, np.cos)])
