@@ -30,11 +30,11 @@ from numpy._core.multiarray import c_einsum as _c_einsum
 # its series uses: the two-band current is a pure sine series and asks for
 # np.sin alone, so no cosine of its large sum-frequency phases is evaluated.
 #
-# The T x L phase table is walked in blocks of whole rows through four
-# preallocated (rows, L) buffers of 3/4 * BLOCK_ELEMENTS phases each (768
-# KiB), so a call holds O(T + BLOCK_ELEMENTS) floats at any grid size and a
-# block stays in cache. Each row is computed on its own, so the output bits
-# do not depend on the block size.
+# The T x L phase table is walked in blocks of whole rows through three
+# preallocated (rows, L) buffers of BLOCK_ELEMENTS phases each (768 KiB),
+# so a call holds O(T + BLOCK_ELEMENTS) floats at any grid size and a block
+# stays in cache. Each row is computed on its own, so the output bits do
+# not depend on the block size.
 #
 # Each phase is x = fl(om_j * t_k), the product np.outer gives, halved
 # exactly: h = x / 2 is computed as t_k * (om_j / 2), which rounds the same
@@ -52,7 +52,9 @@ from numpy._core.multiarray import c_einsum as _c_einsum
 # element up to ~5e4 rad and ~6 ns above 1e5, where libm's sin and cos cost
 # 19-21 ns on [-pi, pi], and more above ~1e8 rad. The 2 of the sine is
 # applied to the finished sum, exactly. One t serves both functions of a
-# one-band series.
+# one-band series. Each function is formed in the buffer of its own input,
+# cos over q and sin over t; neither reads what the other overwrites, so
+# either order of a (cos, sin) request gives the same bits.
 #
 # The sum over j of each row is one einsum("ij,j->i", f(x), w): the weight
 # multiply and the sum in one pass of numpy's own sum-of-products loop. Its
@@ -66,7 +68,7 @@ from numpy._core.multiarray import c_einsum as _c_einsum
 # (X86_V2 on x86-64: no FMA) with no runtime dispatch, so its bytes do not
 # change with NPY_DISABLE_CPU_FEATURES either; np.tan's do.
 
-BLOCK_ELEMENTS = 1 << 15  # four buffers of 3/4 of it: 768 KiB of float64
+BLOCK_ELEMENTS = 1 << 15  # three buffers of it: 768 KiB of float64
 _EINSUM_BUFFER = 8192  # numpy's NPY_BUFSIZE; np.setbufsize does not reach einsum
 
 PHASE_ROUNDING_LIMIT = 1e-3  # rad
@@ -138,8 +140,8 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
 
     Raises ValueError when an input is not one-dimensional, when weights
     and omegas differ in length, when a function other than np.cos or np.sin
-    is requested, or when the largest phase is too large to carry correct
-    digits (see :func:`phase_rounding`).
+    is requested or one is requested twice, or when the largest phase is too
+    large to carry correct digits (see :func:`phase_rounding`).
     """
     weights = _vector("weights", weights)
     omegas = _vector("omegas", omegas)
@@ -148,6 +150,8 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
         raise ValueError("weights and omegas must have the same length")
     if not all(trig is np.cos or trig is np.sin for trig in trigs):
         raise ValueError("trig_series evaluates np.cos and np.sin only")
+    if len(set(trigs)) != len(trigs):
+        raise ValueError("trig_series evaluates each function once per call")
     # the ufunc, not ndarray.max: that method forwards to numpy's Python _amax,
     # and its first use in a process leaves a 54-byte object in some
     # processes only, so a first call's tracemalloc peak would not repeat
@@ -158,18 +162,18 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
     if n_t == 0 or n_l == 0:
         return sums
     half_omegas = 0.5 * omegas
-    rows = 1 if n_l > _EINSUM_BUFFER else min(n_t, max(1, 3 * BLOCK_ELEMENTS // (4 * n_l)))
-    phase, tangent, denom, scratch = (np.empty((rows, n_l)) for _ in range(4))
+    rows = 1 if n_l > _EINSUM_BUFFER else min(n_t, max(1, BLOCK_ELEMENTS // n_l))
+    phase, tangent, denom = (np.empty((rows, n_l)) for _ in range(3))
     for start in range(0, n_t, rows):
         t_k = times[start:start + rows]
-        h, t, d, f = phase[:t_k.size], tangent[:t_k.size], denom[:t_k.size], scratch[:t_k.size]
+        h, t, d = phase[:t_k.size], tangent[:t_k.size], denom[:t_k.size]
         _c_einsum("i,j->ij", t_k, half_omegas, out=h)
         np.tan(h, out=t)
         q = np.multiply(t, t, out=h)
         np.add(q, 1.0, out=d)
         for trig, total in zip(trigs, sums):
-            term = np.subtract(1.0, q, out=f) if trig is np.cos else t
-            _c_einsum("ij,j->i", np.divide(term, d, out=f), weights,
+            f = np.subtract(1.0, q, out=q) if trig is np.cos else t
+            _c_einsum("ij,j->i", np.divide(f, d, out=f), weights,
                       out=total[start:start + t_k.size])
     for trig, total in zip(trigs, sums):
         if trig is np.sin:

@@ -114,8 +114,7 @@ def _parse_value(name: str, text: str, kind: type):
         raise ValueError(f"config key {name}: expected {kind.__name__}, got {text!r}") from None
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_TYPE_MAP = {"float": float, "int": int, "str": str, "bool": bool}
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def parse_config_lines(lines, source: str = "config") -> dict:
@@ -131,7 +130,7 @@ def parse_config_lines(lines, source: str = "config") -> dict:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ValueError(f"{source}:{ln}: unknown config key {key!r}")
-        out[key] = _parse_value(key, value, _TYPE_MAP[_FIELD_TYPES[key]])
+        out[key] = _parse_value(key, value, _FIELD_TYPES[key])
     return out
 
 

@@ -77,15 +77,18 @@ def _check_width(gamma: float) -> None:
         raise ValueError(f"broadening must be non-negative and finite, got {gamma} J")
 
 
+_BAND_SIGN = {"positive": +1, "negative": -1, "both": 0}  # band index s; 0: both
+
+
 def _autocorr_values(table: WeightTable, model: SpectrumModel,
                      times: np.ndarray) -> np.ndarray:
     om = level_frequencies(model, table.levels)
-    if table.band_content == "both":
+    s = _BAND_SIGN[table.band_content]
+    if not s:
         # e^{-i om t} + e^{+i om t} summed with equal per-band weights
         (cos_part,) = trig_series(table.diag, om, times, np.cos)
         return 2.0 * cos_part + 0.0j
     cos_part, sin_part = trig_series(table.diag, om, times, np.cos, np.sin)
-    s = +1 if table.band_content == "positive" else -1
     return cos_part - 1j * s * sin_part
 
 
@@ -109,12 +112,6 @@ def max_frequency(table: WeightTable, model: SpectrumModel) -> float:
         return table.band_multiplicity * float(level_frequencies(model, table.n_max))
 
 
-def _transition_frequencies(table, model):
-    """((E_n - E_{n-1})/hbar, (E_n + E_{n-1})/hbar) for n = n_min+1..n_max."""
-    om = level_frequencies(model, table.levels)
-    return om[1:] - om[:-1], om[1:] + om[:-1]
-
-
 def damped(series: ObservableSeries, gamma: float) -> ObservableSeries:
     """The series times the level-width envelope exp(-2*Gamma*t/hbar), Gamma [J].
 
@@ -125,17 +122,18 @@ def damped(series: ObservableSeries, gamma: float) -> ObservableSeries:
     return replace(series, values=series.values * env)
 
 
-def _single_band_values(table, model, times, s):
-    d_om, _ = _transition_frequencies(table, model)
-    cos_part, sin_part = trig_series(table.offdiag, d_om, times, np.cos, np.sin)
-    return s * cos_part, sin_part
-
-
-def _two_band_values(table, model, times):
-    d_om, s_om = _transition_frequencies(table, model)
-    (sin_fast,) = trig_series(table.offdiag, s_om, times, np.sin)
-    (sin_slow,) = trig_series(table.offdiag, d_om, times, np.sin)
-    return np.zeros_like(times), sin_fast + sin_slow
+def _current_values(table, model, times):
+    """(j_x, j_y) from one kernel call; two bands: one sine series with the
+    weights [U, U] at the frequencies [(E_n + E_{n-1})/hbar, (E_n - E_{n-1})/hbar]."""
+    om = level_frequencies(model, table.levels)
+    d_om = om[1:] - om[:-1]
+    s = _BAND_SIGN[table.band_content]
+    if s:
+        cos_part, sin_part = trig_series(table.offdiag, d_om, times, np.cos, np.sin)
+        return s * cos_part, sin_part
+    (sin_part,) = trig_series(np.concatenate([table.offdiag, table.offdiag]),
+                              np.concatenate([om[1:] + om[:-1], d_om]), times, np.sin)
+    return np.zeros_like(times), sin_part
 
 
 def _current_pair(grid, jx, jy, broadening):
@@ -154,13 +152,11 @@ def current_single_band(table: WeightTable, model: SpectrumModel, grid: TimeGrid
     """
     if s not in (+1, -1):
         raise ValueError(f"band index s must be +1 or -1, got {s}")
-    expected = "positive" if s == +1 else "negative"
-    if table.band_content != expected:
+    if _BAND_SIGN[table.band_content] != s:
         raise ValueError(
-            f"table holds {table.band_content!r} band content, need {expected!r}")
+            f"table holds {table.band_content!r} band content, need band index {s:+d}")
     phase_rounding(max_frequency(table, model), grid.t_end)
-    jx, jy = _single_band_values(table, model, grid.times, s)
-    return _current_pair(grid, jx, jy, broadening)
+    return _current_pair(grid, *_current_values(table, model, grid.times), broadening)
 
 
 def current_two_band(table: WeightTable, model: SpectrumModel, grid: TimeGrid,
@@ -172,20 +168,19 @@ def current_two_band(table: WeightTable, model: SpectrumModel, grid: TimeGrid,
     slow intraband transitions and the fast interband (zitterbewegung) terms.
     Known issue: j_y is half the unit-norm state's expectation (README).
     """
-    if table.band_content != "both":
+    if _BAND_SIGN[table.band_content]:
         raise ValueError(
             f"table holds {table.band_content!r} band content, need 'both'")
-    jx, jy = _two_band_values(table, model, grid.times)
-    return _current_pair(grid, jx, jy, broadening)
+    return _current_pair(grid, *_current_values(table, model, grid.times), broadening)
 
 
 def currents(table: WeightTable, model: SpectrumModel, grid: TimeGrid,
              ) -> tuple[ObservableSeries, ObservableSeries]:
     """Unbroadened (j_x, j_y) for whichever band content the table holds."""
-    if table.band_content == "both":
-        return current_two_band(table, model, grid)
-    s = +1 if table.band_content == "positive" else -1
-    return current_single_band(table, model, grid, s)
+    s = _BAND_SIGN[table.band_content]
+    if s:
+        return current_single_band(table, model, grid, s)
+    return current_two_band(table, model, grid)
 
 
 def total_current_both_valleys(per_valley: ObservableSeries) -> ObservableSeries:

@@ -84,15 +84,19 @@ def _wide_band_series_inputs():
 def test_trig_series_error_model_against_exact_sums():
     # |err_k| <= eps * (max|om| * max|t| + L) * sum|w| against the exact sum
     # at the same float inputs, on both frequency sets of the wide-band run
-    weights, frequency_sets, times = _wide_band_series_inputs()
+    # and on their concatenation [sum, difference] (L = 572), the one series
+    # of the two-band current
+    weights, (d_om, s_om), times = _wide_band_series_inputs()
     idx = np.sort(np.random.default_rng(9).choice(times.size, 16, replace=False))
     t = times[idx]
     eps = np.finfo(np.float64).eps
-    for om in frequency_sets:
-        bound = eps * (np.abs(om).max() * np.abs(times).max() + om.size) \
-            * np.abs(weights).sum()
-        exact = exact_trig_sums(weights, om, t)
-        got = _kernels.trig_series(weights, om, t, np.cos, np.sin)
+    cases = ((weights, d_om), (weights, s_om),
+             (np.tile(weights, 2), np.concatenate([s_om, d_om])))
+    assert cases[2][1].size == 572
+    for w, om in cases:
+        bound = eps * (np.abs(om).max() * np.abs(times).max() + om.size) * np.abs(w).sum()
+        exact = exact_trig_sums(w, om, t)
+        got = _kernels.trig_series(w, om, t, np.cos, np.sin)
         for g, e in zip(got, exact):
             assert np.abs(g - e).max() <= bound
 
@@ -167,6 +171,11 @@ def test_trig_series_function_bits_do_not_depend_on_the_request(trigs):
 def test_trig_series_evaluates_cos_and_sin_only():
     with pytest.raises(ValueError, match="np.cos and np.sin only"):
         _kernels.trig_series(np.ones(3), np.ones(3), np.linspace(0, 1, 5), np.cos, np.tan)
+    # each function is formed in place over its own input, so a second copy
+    # of it would be evaluated on what the first one left there
+    for trigs in ((np.cos, np.cos), (np.sin, np.sin)):
+        with pytest.raises(ValueError, match="once per call"):
+            _kernels.trig_series(np.ones(3), np.ones(3), np.linspace(0, 1, 5), *trigs)
 
 
 _unit = st.floats(-1.0, 1.0)
@@ -218,7 +227,7 @@ def test_trig_series_bits_do_not_depend_on_the_block_size_past_8192_levels(monke
                   for k in range(times.size)]
     for rows in (2, 3, 6):
         # the smallest budget that the default rule turns into this many rows
-        monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", -(-4 * rows * n_l // 3))
+        monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", rows * n_l)
         got = _kernels.trig_series(weights, omegas, times, np.cos, np.sin)
         for g, alone in zip(got, zip(*one_by_one)):
             assert g.tobytes() == np.concatenate(alone).tobytes(), rows
@@ -286,11 +295,10 @@ def test_trig_series_memory_grows_by_the_outputs_only(trigs):
 
 @pytest.mark.parametrize("trigs", [(np.sin,), (np.cos, np.sin)])
 def test_trig_series_holds_outputs_and_three_block_buffers(trigs):
-    # The traced peak is the float64 outputs and the block buffers (four of
-    # 3/4 * BLOCK_ELEMENTS, no more than the three of BLOCK_ELEMENTS counted
-    # here). No pass broadcasts a row, so numpy holds no ufunc buffer of
-    # np.getbufsize() floats, and the peak does not move with
-    # np.setbufsize. What is left, Python objects, measured 3.4-3.5 KiB at
+    # The traced peak is the float64 outputs and the three block buffers of
+    # BLOCK_ELEMENTS counted here. No pass broadcasts a row, so numpy holds
+    # no ufunc buffer of np.getbufsize() floats, and the peak does not move
+    # with np.setbufsize. What is left, Python objects, measured 3.4-3.5 KiB at
     # 2000 x 50 (2 vCPUs, numpy 2.4.6); 8 KiB is allowed for it.
     rng = np.random.default_rng(3)
     n_t, n_l = 2000, 50
@@ -323,7 +331,7 @@ def test_series_request_only_the_functions_they_use(monkeypatch, model10):
         call(build_weights(PacketSpec(15, 3.0, bands)), model10, grid)
         return requests[:]
 
-    assert requested(observables.currents, "both") == [(np.sin,), (np.sin,)]
+    assert requested(observables.currents, "both") == [(np.sin,)]
     assert requested(observables.autocorrelation, "both") == [(np.cos,)]
     for bands in ("positive", "negative"):
         assert requested(observables.currents, bands) == [(np.cos, np.sin)]

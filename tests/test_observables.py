@@ -9,10 +9,9 @@ from graphene_revivals import (HBAR, BroadeningModel, FieldParams, PacketSpec,
                                current_single_band, current_two_band,
                                currents, damped, landau_energy, measure_period,
                                timescales, total_current_both_valleys)
-from graphene_revivals._kernels import phase_rounding
-from graphene_revivals.observables import (_autocorr_values,
-                                           _single_band_values,
-                                           _two_band_values, max_frequency)
+from graphene_revivals._kernels import phase_rounding, trig_series
+from graphene_revivals.observables import (_autocorr_values, _current_values,
+                                           max_frequency)
 from graphene_revivals.wavepacket import WeightTable
 
 from oracles import (brute_force_autocorr, brute_force_currents, damped_direct_sum,
@@ -90,8 +89,8 @@ def test_autocorr_time_reversal(table15, model10):
 
 def test_current_parity(table15, model10):
     times = np.linspace(1e-14, 2e-12, 101)
-    jx_p, jy_p = _single_band_values(table15, model10, times, +1)
-    jx_m, jy_m = _single_band_values(table15, model10, -times, +1)
+    jx_p, jy_p = _current_values(table15, model10, times)
+    jx_m, jy_m = _current_values(table15, model10, -times)
     assert jx_m == pytest.approx(jx_p, abs=1e-14)   # even
     assert jy_m == pytest.approx(-jy_p, abs=1e-14)  # odd
 
@@ -263,14 +262,16 @@ def test_abs_squared(table15, model10):
 
 
 def test_two_band_slow_component_matches_single_band(model10):
-    # the intraband part of the two-band current is half the one-band series
+    # the two-band table holds per-band weights, half the one-band ones, so
+    # the intraband sum over them is half the one-band j_y; the unit-norm
+    # two-band expectation adds both bands' halves (ROADMAP item 1)
     both = build_weights(PacketSpec(15, 3.0, bands="both"))
     single = build_weights(PacketSpec(15, 3.0, bands="positive"))
     times = np.linspace(0.0, 1e-12, 257)
-    _, jy_both = _two_band_values(both, model10, times)
-    _, jy_single = _single_band_values(single, model10, times, +1)
-    d_om_contrib = _single_band_values(both, model10, times, +1)[1]
-    assert d_om_contrib == pytest.approx(jy_single / 2, rel=1e-12, abs=1e-15)
+    _, jy_single = _current_values(single, model10, times)
+    d_om, _ = _transition_frequencies(both, model10)
+    (slow,) = trig_series(both.offdiag, d_om, times, np.sin)
+    assert slow == pytest.approx(jy_single / 2, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("bands", ["positive", "negative", "both"])
