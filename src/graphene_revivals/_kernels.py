@@ -8,6 +8,7 @@ Both are plain numpy.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -208,10 +209,11 @@ def hermite_sweep(n: int, xi):
     """(h_{n-1}(xi), h_n(xi)) for the normalized Hermite-Gaussian functions.
 
     The output shape follows xi; a scalar xi gives float64 scalars. Raises
-    ValueError for a negative order or a non-finite xi.
+    ValueError for an order that is not a non-negative integer, or a
+    non-finite xi.
     """
-    if n < 0:
-        raise ValueError(f"order must be non-negative, got {n}")
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise ValueError(f"order must be a non-negative integer, got {n}")
     xi = np.asarray(xi, dtype=np.float64)[()]
     if not np.isfinite(xi).all():
         raise ValueError("Hermite functions need finite xi")

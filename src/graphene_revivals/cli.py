@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -70,7 +71,7 @@ class RunConfig:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.gamma_steps < 2:
+        if not (isinstance(self.gamma_steps, numbers.Integral) and self.gamma_steps >= 2):
             raise ValueError("gamma_steps must be >= 2 to scan both ends of "
                              f"[0, gamma_mev], got {self.gamma_steps}")
         self.packet_spec()  # rejects n0 and sigma before any period is computed
@@ -165,7 +166,7 @@ def _render(cfg: RunConfig, command: str, header: list[str], columns: list,
 
     A column is a float64 array or a short sequence of float and str cells. CSV
     writes numbers %.17g and strings as they are, _BLOCK_ROWS rows at a time,
-    so it holds one block of text; JSON is built whole.
+    so it holds one block of text; JSON holds the rows and streams their text.
     """
     config = asdict(cfg)
     with (contextlib.nullcontext(sys.stdout) if out is None
@@ -176,7 +177,8 @@ def _render(cfg: RunConfig, command: str, header: list[str], columns: list,
             doc = {"command": command, "config": config, "columns": header, "rows": rows}
             if trailer:
                 doc["trailer"] = trailer
-            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
             return
         fh.write(f"# graphene-revivals {command}\n")
         fh.writelines(f"# {k} = {_format_value(v)}\n" for k, v in config.items())
@@ -259,41 +261,33 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file ('#' comments)")
     common.add_argument("--out", help="output file (default: stdout)")
-    common.add_argument("--B", type=float, dest="B", help="magnetic field [T]")
+    common.add_argument("--B", type=float, help="magnetic field [T]")
     common.add_argument("--n0", type=int, help="central Landau level")
     common.add_argument("--sigma", type=float, help="level-space width parameter")
     common.add_argument("--bands", choices=sorted(_BANDS_FLAG), help="band content")
-    common.add_argument("--gamma-mev", type=float, dest="gamma_mev",
+    common.add_argument("--gamma-mev", type=float,
                         help="level width [meV]; for gamma-scan: scan maximum")
-    common.add_argument("--gap-mev", type=float, dest="gap_mev", help="gap [meV]")
-    common.add_argument("--t-end-fs", type=float, dest="t_end_fs",
+    common.add_argument("--gap-mev", type=float, help="gap [meV]")
+    common.add_argument("--t-end-fs", type=float,
                         help="grid end [fs] (default: 1.1 * revival time)")
     common.add_argument("--samples", type=int, help="number of grid samples")
     common.add_argument("--valleys", choices=["k1", "both"],
                         help="one valley or the degeneracy-doubled total")
     common.add_argument("--format", choices=["csv", "json"], help="output format")
     common.add_argument("--si-current", action="store_const", const=True,
-                        dest="si_current", help="scale currents by e*v_F [A m]")
+                        help="scale currents by e*v_F [A m]")
 
     parser = argparse.ArgumentParser(
         prog="graphene-revivals",
         description="Landau-level wave-packet dynamics in monolayer graphene")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("timescales", parents=[common],
-                   help="characteristic periods and derived quantities")
-    sub.add_parser("autocorr", parents=[common], help="autocorrelation series")
-    sub.add_parser("current", parents=[common], help="electric-current series")
-    sub.add_parser("gamma-scan", parents=[common],
-                   help="revival classification vs level width")
+    for name, run, help_text in (
+            ("timescales", cmd_timescales, "characteristic periods and derived quantities"),
+            ("autocorr", cmd_autocorr, "autocorrelation series"),
+            ("current", cmd_current, "electric-current series"),
+            ("gamma-scan", cmd_gamma_scan, "revival classification vs level width")):
+        sub.add_parser(name, parents=[common], help=help_text).set_defaults(run=run)
     return parser
-
-
-_COMMANDS = {
-    "timescales": cmd_timescales,
-    "autocorr": cmd_autocorr,
-    "current": cmd_current,
-    "gamma-scan": cmd_gamma_scan,
-}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -329,7 +323,7 @@ def main(argv=None) -> int:
         print(f"graphene-revivals: config error: {err}", file=sys.stderr)
         return 1
     try:
-        _COMMANDS[args.command](cfg, model, table, grid, args.out)
+        args.run(cfg, model, table, grid, args.out)
     except (ValueError, OSError, ArithmeticError, MemoryError) as err:
         print(f"graphene-revivals: error: {err}", file=sys.stderr)
         return 2

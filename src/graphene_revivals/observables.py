@@ -19,6 +19,7 @@ transitions n-1 -> n with n >= 1, while the n = 0 population does enter A(t).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,8 +42,8 @@ class TimeGrid:
         if not 0.0 <= self.t_start < self.t_end < math.inf:
             raise ValueError(
                 f"need finite t_end > t_start >= 0, got [{self.t_start}, {self.t_end}]")
-        if self.n_samples < 2:
-            raise ValueError(f"need at least 2 samples, got {self.n_samples}")
+        if not (isinstance(self.n_samples, numbers.Integral) and self.n_samples >= 2):
+            raise ValueError(f"need an integer number of samples >= 2, got {self.n_samples}")
 
     @property
     def times(self) -> np.ndarray:

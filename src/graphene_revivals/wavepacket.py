@@ -14,6 +14,7 @@ represented here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ class PacketSpec:
     tail_tolerance: float = 1e-12
 
     def __post_init__(self):
-        if not 1 <= self.n0 <= 2 ** 52:
+        if not (isinstance(self.n0, numbers.Integral) and 1 <= self.n0 <= 2 ** 52):
             raise ValueError(f"central level n0 must be in [1, 2**52], got {self.n0}")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")

@@ -71,6 +71,9 @@ def test_traced_cli_run_builds_one_table(tmp_path, argv, levels, terms):
     metrics = tracer.summarize([rec.spans], 1.0)  # the wall only scales the shares
     assert metrics["wavepacket.levels"] == levels
     assert metrics["kernels.terms"] == terms
+    # the subparser hands main the patched cmd_*, so the command is traced once
+    assert [s[0] for s in rec.spans].count("cli.command") == 1
+    assert metrics["cli.render_self_s"] > 0
 
 
 def test_library_pass_runs():

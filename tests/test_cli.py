@@ -19,7 +19,8 @@ import graphene_revivals
 from graphene_revivals import (E_CHARGE, BroadeningModel, FieldParams,
                                PacketSpec, SpectrumModel, TimeGrid,
                                autocorrelation, build_weights, convert,
-                               currents, damped, observables, timescales,
+                               currents, damped, eigenspinor, hermite_function,
+                               observables, timescales,
                                total_current_both_valleys)
 from graphene_revivals import cli
 from graphene_revivals.cli import (RunConfig, config_from_output, main,
@@ -194,6 +195,38 @@ def test_csv_cells_match_json_rows(tmp_path, argv):
     assert rows == [[v if isinstance(v, str) else "%.17g" % v for v in row]
                     for row in doc["rows"]]
     assert any("" in row for row in rows) == (argv[0] == "gamma-scan")
+
+
+@pytest.mark.parametrize("argv", [
+    ("timescales",),
+    ("timescales", "--bands", "both"),
+    ("autocorr", "--samples", "300"),
+    ("autocorr", "--bands", "both", "--samples", "300"),
+    ("current", "--samples", "300"),
+    ("current", "--bands", "both", "--samples", "300", "--si-current"),
+    ("gamma-scan", "--gamma-mev", "4"),
+    ("gamma-scan", "--bands", "both", "--gamma-mev", "4"),
+])
+def test_json_text_is_the_indented_sorted_dump(tmp_path, argv):
+    # the streamed document has the bytes of one json.dumps of itself
+    out = tmp_path / "o.json"
+    assert run_cli(*argv, "--format", "json", "--out", str(out)) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_does_not_hold_its_text(tmp_path):
+    # JSON keeps its rows but streams their text: the traced peak stays well
+    # below the size of the file, which a whole dumped string alone would reach
+    out = tmp_path / "a.json"
+    tracemalloc.start()
+    try:
+        assert run_cli("autocorr", "--samples", "20000", "--format", "json",
+                       "--out", str(out)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.stat().st_size, (peak, out.stat().st_size)
 
 
 def test_csv_writer_holds_one_block(tmp_path):
@@ -506,6 +539,22 @@ def test_gamma_scan_underflowed_rows_are_absent(tmp_path):
 def test_non_finite_constructor_raises(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: PacketSpec(n, 3.0),
+    lambda n: TimeGrid(0.0, 1e-12, n),
+    lambda n: hermite_function(n, 0.3),
+    lambda n: eigenspinor(n, +1, "K1", 0.3),
+    lambda n: RunConfig(gamma_steps=n),
+])
+def test_non_integer_count_raises(make):
+    # a level index, a sample count, a Hermite order or a step count is
+    # checked where it enters, not where it first reaches a range or a slice
+    make(np.int64(15))
+    for bad in (15.5, 15.0):
+        with pytest.raises(ValueError):
+            make(bad)
 
 
 @pytest.mark.parametrize("bands, per_series", [("pos", 1), ("both", 2)])
