@@ -65,7 +65,7 @@ class RunConfig:
             raise ValueError(f"valleys must be k1 or both, got {self.valleys!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if self.samples < 2:
+        if not (isinstance(self.samples, numbers.Integral) and self.samples >= 2):
             raise ValueError(f"samples must be >= 2, got {self.samples}")
         for name in ("gamma_mev", "gap_mev", "t_end_fs"):
             value = getattr(self, name)

@@ -1,7 +1,7 @@
 """Time series of the autocorrelation and electric-current expectations.
 
 All series are sums of weighted trigonometric terms over the populated
-levels, with phases E*t/hbar:
+levels, with phases E*t/hbar (:func:`_terms` is their one code form):
 
     A(t)  = sum_{n,s} U_{n,n} exp(-i E_{n,s} t / hbar)
     j_x(t) = s * sum_n U_{n-1,n} cos[(E_n - E_{n-1}) t / hbar]   (one band)
@@ -81,22 +81,35 @@ def _check_width(gamma: float) -> None:
 _BAND_SIGN = {"positive": +1, "negative": -1, "both": 0}  # band index s; 0: both
 
 
-def _autocorr_values(table: WeightTable, model: SpectrumModel,
-                     times: np.ndarray) -> np.ndarray:
+def _terms(table: WeightTable, model: SpectrumModel, current: bool):
+    """(weights, frequencies, (cos_scale, sin_scale)) of A(t), or of (j_x, j_y)
+    if current: the formulas above, the two-band j_y as one sine series."""
     om = level_frequencies(model, table.levels)
     s = _BAND_SIGN[table.band_content]
-    if not s:
-        # e^{-i om t} + e^{+i om t} summed with equal per-band weights
-        (cos_part,) = trig_series(table.diag, om, times, np.cos)
-        return 2.0 * cos_part + 0.0j
-    cos_part, sin_part = trig_series(table.diag, om, times, np.cos, np.sin)
-    return cos_part - 1j * s * sin_part
+    if not current:
+        return table.diag, om, ((1, -s) if s else (2.0, 0))
+    d_om = om[1:] - om[:-1]
+    if s:
+        return table.offdiag, d_om, (s, 1)
+    return np.tile(table.offdiag, 2), np.concatenate([om[1:] + om[:-1], d_om]), (0, 1)
+
+
+def _series(table, model, times, current):
+    """Each sum of :func:`_terms` times its scale, from one kernel call that
+    evaluates only the functions of nonzero scale; a zero scale gives zeros."""
+    weights, omegas, scales = _terms(table, model, current)
+    sums = iter(trig_series(weights, omegas, times,
+                            *(f for f, k in zip((np.cos, np.sin), scales) if k)))
+    # at k == 1 the sum itself: k * sum would copy the column
+    return tuple(np.zeros_like(times) if not k else next(sums) if k == 1
+                 else k * next(sums) for k in scales)
 
 
 def autocorrelation(table: WeightTable, model: SpectrumModel,
                     grid: TimeGrid) -> ObservableSeries:
     """Overlap of the evolved packet with itself at t = 0; |A(0)| = 1. Unbroadened."""
-    return ObservableSeries(grid, _autocorr_values(table, model, grid.times))
+    re, im = _series(table, model, grid.times, current=False)
+    return ObservableSeries(grid, re + 1j * im)  # + 1j * im turns a -0 into +0
 
 
 def max_frequency(table: WeightTable, model: SpectrumModel) -> float:
@@ -123,22 +136,8 @@ def damped(series: ObservableSeries, gamma: float) -> ObservableSeries:
     return replace(series, values=series.values * env)
 
 
-def _current_values(table, model, times):
-    """(j_x, j_y) from one kernel call; two bands: one sine series with the
-    weights [U, U] at the frequencies [(E_n + E_{n-1})/hbar, (E_n - E_{n-1})/hbar]."""
-    om = level_frequencies(model, table.levels)
-    d_om = om[1:] - om[:-1]
-    s = _BAND_SIGN[table.band_content]
-    if s:
-        cos_part, sin_part = trig_series(table.offdiag, d_om, times, np.cos, np.sin)
-        return s * cos_part, sin_part
-    (sin_part,) = trig_series(np.concatenate([table.offdiag, table.offdiag]),
-                              np.concatenate([om[1:] + om[:-1], d_om]), times, np.sin)
-    return np.zeros_like(times), sin_part
-
-
-def _current_pair(grid, jx, jy, broadening):
-    pair = ObservableSeries(grid, jx), ObservableSeries(grid, jy)
+def _current_pair(table, model, grid, broadening):
+    pair = tuple(ObservableSeries(grid, j) for j in _series(table, model, grid.times, True))
     if broadening is None:
         return pair
     return tuple(damped(j, broadening.gamma) for j in pair)
@@ -157,7 +156,7 @@ def current_single_band(table: WeightTable, model: SpectrumModel, grid: TimeGrid
         raise ValueError(
             f"table holds {table.band_content!r} band content, need band index {s:+d}")
     phase_rounding(max_frequency(table, model), grid.t_end)
-    return _current_pair(grid, *_current_values(table, model, grid.times), broadening)
+    return _current_pair(table, model, grid, broadening)
 
 
 def current_two_band(table: WeightTable, model: SpectrumModel, grid: TimeGrid,
@@ -172,7 +171,7 @@ def current_two_band(table: WeightTable, model: SpectrumModel, grid: TimeGrid,
     if _BAND_SIGN[table.band_content]:
         raise ValueError(
             f"table holds {table.band_content!r} band content, need 'both'")
-    return _current_pair(grid, *_current_values(table, model, grid.times), broadening)
+    return _current_pair(table, model, grid, broadening)
 
 
 def currents(table: WeightTable, model: SpectrumModel, grid: TimeGrid,

@@ -113,8 +113,10 @@ def dirac_autocorrelation(table, gap_ratio: float, omega_t):
     eigenvectors come from numpy.linalg.eigh; the packet is
     sum_n c_n |n, s>, c_n = sqrt(U_nn), for each band s the table holds,
     where |n, s> is the eigenvector supported on (upper |n-1>, lower |n>)
-    with an energy of sign s. No Landau-level formula and no series kernel
-    is used: the state is evolved as V exp(-i Lambda Omega t) V^T psi(0).
+    with an energy of sign s. The one n = 0 state (lower |0>) is taken by its
+    sector alone: its energy, -gap_ratio, is a signed zero without a gap and
+    names no band. No Landau-level formula and no series kernel is used: the
+    state is evolved as V exp(-i Lambda Omega t) V^T psi(0).
     """
     dim = table.n_max + 11
     h = np.zeros((2 * dim, 2 * dim))
@@ -129,7 +131,7 @@ def dirac_autocorrelation(table, gap_ratio: float, omega_t):
     signs = {"positive": (1.0,), "negative": (-1.0,), "both": (1.0, -1.0)}[table.band_content]
     psi0 = np.zeros(2 * dim)
     for k, n in enumerate(sectors):
-        if table.n_min <= n <= table.n_max and np.sign(energies[k]) in signs:
+        if table.n_min <= n <= table.n_max and (n == 0 or np.sign(energies[k]) in signs):
             psi0 += math.sqrt(table.diag[n - table.n_min]) * vectors[:, k]
     phases = np.exp(-1j * np.multiply.outer(energies, np.asarray(omega_t)))
     psi_t = vectors @ (phases * (vectors.T @ psi0)[:, np.newaxis])

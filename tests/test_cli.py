@@ -547,6 +547,7 @@ def test_non_finite_constructor_raises(make):
     lambda n: hermite_function(n, 0.3),
     lambda n: eigenspinor(n, +1, "K1", 0.3),
     lambda n: RunConfig(gamma_steps=n),
+    lambda n: RunConfig(samples=n),
 ])
 def test_non_integer_count_raises(make):
     # a level index, a sample count, a Hermite order or a step count is
@@ -557,9 +558,8 @@ def test_non_integer_count_raises(make):
             make(bad)
 
 
-@pytest.mark.parametrize("bands, per_series", [("pos", 1), ("both", 2)])
-def test_gamma_scan_kernel_calls_independent_of_steps(tmp_path, monkeypatch,
-                                                      bands, per_series):
+@pytest.mark.parametrize("bands", ["pos", "neg", "both"])
+def test_gamma_scan_kernel_calls_independent_of_steps(tmp_path, monkeypatch, bands):
     # broadening is a global envelope: one undamped series serves every width
     calls = []
     kernel = observables.trig_series
@@ -577,9 +577,8 @@ def test_gamma_scan_kernel_calls_independent_of_steps(tmp_path, monkeypatch,
         assert run_cli("gamma-scan", "--config", str(cfg), "--gamma-mev", "4",
                        "--bands", bands, "--out", str(tmp_path / "g.csv")) == 0
         counts[steps] = len(calls)
-    assert counts[2] == counts[6]
     # one series for the scan, one inside estimate_gamma_max
-    assert counts[6] <= 2 * per_series
+    assert counts[2] == counts[6] == 2
 
 
 def test_gapped_timescales(tmp_path):

@@ -10,8 +10,7 @@ from graphene_revivals import (HBAR, BroadeningModel, FieldParams, PacketSpec,
                                currents, damped, landau_energy, measure_period,
                                timescales, total_current_both_valleys)
 from graphene_revivals._kernels import phase_rounding, trig_series
-from graphene_revivals.observables import (_autocorr_values, _current_values,
-                                           max_frequency)
+from graphene_revivals.observables import _series, _terms, max_frequency
 from graphene_revivals.wavepacket import WeightTable
 
 from oracles import (brute_force_autocorr, brute_force_currents, damped_direct_sum,
@@ -76,21 +75,21 @@ def test_autocorr_modulus_bounded(table15, model10):
     ts = timescales(model10, 15)
     rng = np.random.default_rng(7)
     times = rng.uniform(0.0, 2 * ts.t_revival, 10_000)
-    values = _autocorr_values(table15, model10, times)
-    assert np.abs(values).max() <= 1.0 + 1e-12
+    re, im = _series(table15, model10, times, False)
+    assert np.hypot(re, im).max() <= 1.0 + 1e-12
 
 
 def test_autocorr_time_reversal(table15, model10):
     times = np.linspace(1e-14, 2e-12, 101)
-    forward = _autocorr_values(table15, model10, times)
-    backward = _autocorr_values(table15, model10, -times)
-    assert backward == pytest.approx(np.conj(forward), abs=1e-14)
+    re, im = _series(table15, model10, times, False)
+    back_re, back_im = _series(table15, model10, -times, False)
+    assert back_re + 1j * back_im == pytest.approx(re - 1j * im, abs=1e-14)
 
 
 def test_current_parity(table15, model10):
     times = np.linspace(1e-14, 2e-12, 101)
-    jx_p, jy_p = _current_values(table15, model10, times)
-    jx_m, jy_m = _current_values(table15, model10, -times)
+    jx_p, jy_p = _series(table15, model10, times, True)
+    jx_m, jy_m = _series(table15, model10, -times, True)
     assert jx_m == pytest.approx(jx_p, abs=1e-14)   # even
     assert jy_m == pytest.approx(-jy_p, abs=1e-14)  # odd
 
@@ -268,18 +267,21 @@ def test_two_band_slow_component_matches_single_band(model10):
     both = build_weights(PacketSpec(15, 3.0, bands="both"))
     single = build_weights(PacketSpec(15, 3.0, bands="positive"))
     times = np.linspace(0.0, 1e-12, 257)
-    _, jy_single = _current_values(single, model10, times)
+    _, jy_single = _series(single, model10, times, True)
     d_om, _ = _transition_frequencies(both, model10)
     (slow,) = trig_series(both.offdiag, d_om, times, np.sin)
     assert slow == pytest.approx(jy_single / 2, rel=1e-12, abs=1e-15)
 
 
+def _top_frequency(table, model):
+    """The largest term frequency the kernel sees, over A(t) and the currents."""
+    return max(_terms(table, model, current)[1].max() for current in (False, True))
+
+
 @pytest.mark.parametrize("bands", ["positive", "negative", "both"])
 def test_max_frequency_bounds_every_term(model10, bands):
     table = build_weights(PacketSpec(15, 3.0, bands=bands))
-    om = model10.omega * np.sqrt(table.levels.astype(float))
-    used = [om, om[1:] - om[:-1]] + ([om[1:] + om[:-1]] if bands == "both" else [])
-    top = np.concatenate(used).max()
+    top = _top_frequency(table, model10)
     assert top <= max_frequency(table, model10) < 2.0 * top
 
 
@@ -308,18 +310,26 @@ def test_widest_perfbench_case_far_below_phase_limit():
 
 
 def _gapped_model(gap: str) -> SpectrumModel:
-    """B = 10 T with a 50 meV gap, or a gap equal to hbar*Omega*sqrt(15)."""
+    """B = 10 T with no gap, a 50 meV gap, or a gap equal to hbar*Omega*sqrt(15)."""
     hbar_omega = HBAR * SpectrumModel(FieldParams(10.0)).omega
-    delta = convert(50.0, "meV", "J") if gap == "50meV" else hbar_omega * math.sqrt(15)
+    delta = {"0": 0.0, "50meV": convert(50.0, "meV", "J"),
+             "E15": hbar_omega * math.sqrt(15)}[gap]
     return SpectrumModel(FieldParams(10.0, gap_energy=delta))
 
 
-@pytest.mark.parametrize("bands", ["positive", "negative", "both"])
-@pytest.mark.parametrize("gap", ["50meV", "E15"])
-def test_gapped_autocorrelation_matches_hamiltonian_oracle(gap, bands):
+# The gapless packets reach n = 0. Gapped packets that reach it are left out:
+# the library puts n = 0 at s*Delta, the Hamiltonian at -Delta in K1 (ROADMAP
+# item 3, step A).
+@pytest.mark.parametrize("gap, spec", [
+    *(pytest.param(gap, PacketSpec(15, 3.0, bands=bands), id=f"{gap}-{bands}")
+      for gap in ("50meV", "E15") for bands in ("positive", "negative", "both")),
+    pytest.param("0", PacketSpec(2, 3.0, bands="positive"), id="0-n0_2-positive"),
+    pytest.param("0", PacketSpec(3, 2.0, bands="negative"), id="0-n0_3-negative"),
+])
+def test_gapped_autocorrelation_matches_hamiltonian_oracle(gap, spec):
     model = _gapped_model(gap)
-    table = build_weights(PacketSpec(15, 3.0, bands=bands))
-    grid = TimeGrid(0.0, 1.1 * timescales(model, 15).t_revival, 257)
+    table = build_weights(spec)
+    grid = TimeGrid(0.0, 1.1 * timescales(model, spec.n0).t_revival, 257)
     got = autocorrelation(table, model, grid).values
     gap_ratio = model.params.gap_energy / (HBAR * model.omega)
     want, h_norm = dirac_autocorrelation(table, gap_ratio, model.omega * grid.times)
@@ -351,12 +361,9 @@ def test_gapped_current_period_is_gapped_classical_period(gap):
 
 @pytest.mark.parametrize("gap", ["50meV", "E15"])
 def test_max_frequency_bounds_every_gapped_term(gap):
-    # E_n/hbar from the closed form; it and the library's hypot differ by a
-    # few roundings, hence the 4 eps slack
+    # the kernel's own frequencies, so no slack: E_n + E_{n-1} rounds to at
+    # most 2 * E_nmax, and the one-band bound is E_nmax itself
     model = _gapped_model(gap)
     for bands in ("positive", "both"):
         table = build_weights(PacketSpec(15, 3.0, bands=bands))
-        n = table.levels
-        om = np.sqrt(model.params.gap_energy ** 2 + n * (HBAR * model.omega) ** 2) / HBAR
-        top = (om[1:] + om[:-1]).max() if bands == "both" else om.max()
-        assert top <= max_frequency(table, model) * (1.0 + 4 * np.finfo(np.float64).eps)
+        assert _top_frequency(table, model) <= max_frequency(table, model)
