@@ -7,6 +7,7 @@ Both are plain numpy.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 
@@ -198,11 +199,77 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
 # dominant solution there, so the forward sweep is stable, and a carried
 # base-2 exponent keeps it in range when p_m ~ exp(+xi^2/2) grows past
 # double precision. The results stay bounded (|h_m| < 0.82 for every m).
+#
+# An array xi is swept once per distinct |xi|, in ascending order. The
+# functions have a parity, h_m(-xi) = (-1)^m h_m(xi), and it holds bit for
+# bit: IEEE rounding is symmetric, so negating xi negates every product of
+# the step that holds it. A subtraction x - y that cancels to zero gives +0
+# for either sign of x and y, so at xi < 0 the odd order is flipped as
+# 0.0 - p, which keeps such a zero +0. At xi = -0.0 every term of an odd
+# order is itself a signed zero, and there the flip is a plain negation.
+# h_{-1} (n = 0) is +0 at every xi. p is flipped before the Gaussian
+# multiplies it, so an h that underflows to zero keeps the recurrence's
+# sign.
+#
+# Past a cut in |xi| the sweep is skipped: there |H_m(x)| <=
+# (2|x|)^m exp(m^2/(4x^2)) bounds both functions below 2^-1080, and the
+# recurrence would give (sign xi)^m * 0 (its p_m has the sign of xi^m past
+# the largest zero of H_m; the computed Gaussian is zero, or subnormal and
+# within a factor 2 of the true one, so the product rounds to zero). The
+# cut lies at |xi| = 38.7 for n = 0, 177.5 for n = 10^4 and tends to
+# 1.7153*sqrt(n), so below it the growth per step, x*sqrt(2/m), stays far
+# below 2^31 for any order a loop can reach, and a 16-step run from at most
+# 2^524 stays finite. Past it p would overflow (between two
+# rescales from |xi| ~ 1e10 once n >= 16), and so would 0.5*xi^2 past 1.3e154.
 
 _RESCALE_LIMIT = 2.0 ** 500
 _RESCALE_FACTOR = 2.0 ** -500
-_RESCALE_STRIDE = 16  # growth per step stays far below 2^32; 16 steps are safe
+_RESCALE_STRIDE = 16  # growth per step stays far below 2^31; 16 steps are safe
 _LN2 = float(np.log(2.0))
+_NEGLIGIBLE_LOG = -1080.0 * _LN2  # 5 bits under 2^-1075, below which a product rounds to 0
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
+
+
+def _negligible(n: int, x) -> bool:
+    """True where a bound proves |h_{n-1}(x)|, |h_n(x)| < 2^-1080.
+
+    The bound, ln|h_m(x)| <= -x^2/2 + m ln(2x) + m^2/(4x^2) - ln C_m, falls
+    with |x|, so the points it clears are a suffix of the sorted |xi|. It is
+    taken at max(|x|, 1): at |x| = 1 it exceeds 2^-1080 for every m, so no
+    point below 1 is cleared. Python floats overflow x*x to inf without a
+    warning, which clears every |x| past 1.3e154.
+    """
+    x = max(abs(float(x)), 1.0)
+    return max(-0.5 * x * x + m * (_LN2 + math.log(x)) + m * m / (4.0 * x * x)
+               - 0.5 * (m * _LN2 + math.lgamma(m + 1) + _LOG_SQRT_PI)
+               for m in (n - 1, n) if m >= 0) <= _NEGLIGIBLE_LOG
+
+
+def _sweep(n: int, x):
+    """(p_{n-1}(x), p_n(x), Gaussian with the carried exponent) on x."""
+    # [()] keeps the state of a scalar x in float64 scalars
+    p_prev = np.zeros_like(x)[()]  # p_{-1} == 0
+    p = np.full_like(x, np.pi ** -0.25)[()]  # p_0
+    expo = np.zeros_like(x)  # carried base-2 exponent
+    # each step writes p_m over p_{m-2} through one spare buffer, in the
+    # operation order of the formula above; scalars need no buffer
+    spare = np.empty_like(x) if x.ndim else None
+    for m in range(1, n + 1):
+        a = math.sqrt(2.0 / m)
+        p_next = x * a if spare is None else np.multiply(x, a, spare)
+        p_next *= p
+        p_prev *= math.sqrt((m - 1.0) / m)
+        p_next -= p_prev
+        p_prev, p, spare = p, p_next, None if spare is None else p_prev
+        if m % _RESCALE_STRIDE == 0:
+            size = np.abs(p, spare)  # spare is free until the next step
+            if np.maximum.reduce(size, initial=0.0) > _RESCALE_LIMIT:
+                # powers of two rescale exactly; the timing is irrelevant
+                big = size > _RESCALE_LIMIT
+                p = np.where(big, p * _RESCALE_FACTOR, p)
+                p_prev = np.where(big, p_prev * _RESCALE_FACTOR, p_prev)
+                expo = np.where(big, expo + 500.0, expo)
+    return p_prev, p, np.exp(expo * _LN2 - 0.5 * x * x)
 
 
 def hermite_sweep(n: int, xi):
@@ -217,26 +284,22 @@ def hermite_sweep(n: int, xi):
     xi = np.asarray(xi, dtype=np.float64)[()]
     if not np.isfinite(xi).all():
         raise ValueError("Hermite functions need finite xi")
-    # [()] keeps the state of a scalar xi in float64 scalars
-    p_prev = np.zeros_like(xi)[()]  # p_{-1} == 0
-    p = np.full_like(xi, np.pi ** -0.25)[()]  # p_0
-    expo = np.zeros_like(xi)  # carried base-2 exponent
-    # each step writes p_m over p_{m-2} through one spare buffer, in the
-    # operation order of the formula above; scalars need no buffer
-    spare = np.empty_like(xi) if xi.ndim else None
-    for m in range(1, n + 1):
-        a = math.sqrt(2.0 / m)
-        p_next = xi * a if spare is None else np.multiply(xi, a, out=spare)
-        p_next *= p
-        p_prev *= math.sqrt((m - 1.0) / m)
-        p_next -= p_prev
-        p_prev, p, spare = p, p_next, None if spare is None else p_prev
-        if m % _RESCALE_STRIDE == 0:
-            big = np.abs(p) > _RESCALE_LIMIT
-            if big.any():
-                # powers of two rescale exactly; the timing is irrelevant
-                p = np.where(big, p * _RESCALE_FACTOR, p)
-                p_prev = np.where(big, p_prev * _RESCALE_FACTOR, p_prev)
-                expo = np.where(big, expo + 500.0, expo)
-    scale = np.exp(expo * _LN2 - 0.5 * xi * xi)
-    return p_prev * scale, p * scale
+    if xi.ndim == 0:
+        if not _negligible(n, xi):
+            p_prev, p, scale = _sweep(n, xi)
+            return p_prev * scale, p * scale
+        h_prev, h = hermite_sweep(n, np.reshape(xi, 1))
+        return h_prev[0], h[0]
+    x, back = np.unique(np.abs(xi).ravel(), return_inverse=True)
+    cut = bisect.bisect_left(x, True, key=lambda v: _negligible(n, v))
+    # past the cut h = (+-1) * 0, the sign set below as for any other point
+    p_prev, p, scale = np.ones((3, x.size))
+    scale[cut:] = 0.0
+    p_prev[:cut], p[:cut], scale[:cut] = _sweep(n, x[:cut])
+    back = back.reshape(xi.shape)
+    p_prev, p, scale = p_prev[back], p[back], scale[back]
+    if n:  # h_{-1} stays +0
+        odd = p if n % 2 else p_prev
+        np.subtract(0.0, odd, odd, where=xi < 0)
+        np.negative(odd, odd, where=(xi == 0) & np.signbit(xi))
+    return np.multiply(p_prev, scale, p_prev), np.multiply(p, scale, p)

@@ -41,7 +41,9 @@ def hermite_function(n: int, xi):
     """Normalized Hermite-Gaussian h_n(xi): a float for scalar xi, an array for an array.
 
     Stable for n up to at least 10^4 and any finite xi; NaN or infinite xi
-    raises ValueError.
+    raises ValueError. h_n(-xi) = (-1)^n h_n(xi) holds bit for bit, signed
+    zeros included. Where a bound puts |h_n| below 2^-1080 (past |xi| = 38.7
+    at n = 0, 48.3 at n = 200, 177.5 at n = 10^4) the value is (sign xi)^n * 0.
     """
     _, h = hermite_sweep(n, xi)
     return h if np.ndim(xi) else float(h)

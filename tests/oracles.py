@@ -49,7 +49,13 @@ def hermite_sweep_by_allocation(n: int, xi):
     The same operations in the same order as _kernels.hermite_sweep (the
     normalized three-term recurrence, a 2^-500 rescale of every point past
     2^500 checked each 16 steps, and the Gaussian attached in log space at the
-    end), so the two must agree byte for byte; only the buffers differ.
+    end), run at every point as given, negative and repeated ones included.
+    hermite_sweep sweeps each distinct |xi| once and gives the negative points
+    the parity (-1)^m with the recurrence's own signed zeros, and it skips the
+    points where both functions are provably below 2^-1080; both must agree
+    with this byte for byte wherever this stays finite. Past |xi| ~ 1e10 it
+    overflows between rescales and returns nan, where hermite_sweep gives the
+    signed zero.
     """
     xi = np.asarray(xi, dtype=np.float64)
     p_prev, p, expo = np.zeros_like(xi), np.full_like(xi, np.pi ** -0.25), np.zeros_like(xi)

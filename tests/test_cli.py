@@ -229,12 +229,14 @@ def test_json_writer_does_not_hold_its_text(tmp_path):
     assert peak < 3 * out.stat().st_size, (peak, out.stat().st_size)
 
 
-def test_csv_writer_holds_one_block(tmp_path):
+def test_csv_writer_holds_one_block(tmp_path, monkeypatch):
     # the CSV writer keeps one block of rows alive, not the whole table: its
-    # traced peak must not grow with the row count
+    # traced peak must not grow with the row count (10x the rows would add
+    # about 11 MB if it held the table; small blocks keep the test short)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
     rng = np.random.default_rng(7)
     peaks = []
-    for n in (20_000, 200_000):
+    for n in (4_000, 40_000):
         columns = list(rng.random((4, n)))
         tracemalloc.start()
         try:

@@ -94,6 +94,14 @@ def test_stable_at_high_order():
     assert np.abs(values).max() <= 0.8
 
 
+@pytest.mark.parametrize("n, xi", [(10000, 1e11), (40, 1e15), (17, 1e100), (3, 1e155)])
+def test_far_out_finite_xi_gives_zero(n, xi):
+    # the recurrence alone overflows here and gives nan
+    assert hermite_function(n, xi) == 0.0
+    sp = eigenspinor(n, +1, "K2", [xi])
+    assert sp.upper.tolist() == sp.lower.tolist() == [0.0]
+
+
 def test_spinor_patterns():
     xi = np.linspace(-5.0, 5.0, 41)
     for n in (1, 4):

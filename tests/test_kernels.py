@@ -36,23 +36,56 @@ def test_hermite_sweep_rejects_negative_order():
         _kernels.hermite_sweep(-1, np.zeros(3))
 
 
-@pytest.mark.parametrize("n, xi", [(0, 0.37), (30, 0.37), (754, 38.6)])
+@pytest.mark.parametrize("n, xi", [(0, 0.37), (30, 0.37), (754, 38.6), (30, -0.37), (3, -0.0)])
 def test_hermite_sweep_scalar_matches_one_element_array(n, xi):
     # a scalar xi stays a scalar and gets the array path's bits, also past
-    # a rescale (754, 38.6)
+    # a rescale (754, 38.6); the scalar recurrence runs at a negative xi
+    # itself, where the array path takes the parity of |xi|
     for scalar, array in zip(_kernels.hermite_sweep(n, xi),
                              _kernels.hermite_sweep(n, np.array([xi]))):
         assert np.ndim(scalar) == 0
         assert scalar.tobytes() == array[0].tobytes()
 
 
-@pytest.mark.parametrize("n, xi", [(10000, np.linspace(-150.0, 150.0, 4001)), (754, 38.6)])
+# -0.0 and 0.0, repeated values, and negative points without a mirror
+_SIGNED_GRID = np.array([-0.0, 0.0, 1.5, 1.5, -1.5, -2.25, -0.3, 0.3, -7.0, 0.0, -0.0, 4.0,
+                         -5e-324, 1e-160, -1e-160])
+
+
+@pytest.mark.parametrize("n, xi", [
+    (10000, np.linspace(-150.0, 150.0, 4001)),
+    (754, 38.6),
+    *((n, xi) for n in (0, 1, 2, 3, 16, 17) for xi in (
+        np.linspace(-3.0, 7.0, 333),
+        _SIGNED_GRID,
+        np.linspace(-5.0, 5.0, 60).reshape(6, 10),
+        np.array([]),
+    )),
+    (200, np.linspace(-60.0, 60.0, 2001)),
+    # p_5 and p_7 cancel to +0 here, and to +0 at -xi too, not to -0
+    (5, np.array([2.0201828704560856, -2.0201828704560856])),
+    (8, np.array([0.8162878828589646, -0.8162878828589646])),
+])
 def test_hermite_sweep_bits_match_the_allocating_recurrence(n, xi):
-    # the in-place sweep keeps every operation and its order; (10000, 4001
-    # points over [-150, 150]) is the library benchmark's eigenspinor grid
+    # the in-place sweep keeps every operation and its order, and a negative
+    # xi takes the parity of |xi| with the recurrence's own signed zeros;
+    # (10000, 4001 points over [-150, 150]) is the library benchmark's
+    # eigenspinor grid, and (200, [-60, 60]) reaches past the underflow cut
     for got, expected in zip(_kernels.hermite_sweep(n, xi), hermite_sweep_by_allocation(n, xi)):
-        assert np.ndim(got) == np.ndim(xi)
+        assert np.shape(got) == np.shape(xi)
         assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 40, 10000])
+@pytest.mark.parametrize("xi", [1e11, -1e11, 1e15, 1e155, 1.7e308, -1.7e308])
+def test_hermite_sweep_is_a_signed_zero_far_out(n, xi):
+    # the recurrence would overflow here (with a RuntimeWarning, which fails
+    # the run) and return nan; both functions are below 2^-1075, so they are
+    # the zero the recurrence gives where it does not overflow, (sign xi)^m * 0
+    expected = [math.copysign(0.0, xi ** (m % 2)) for m in (n - 1, n)]
+    for got in (_kernels.hermite_sweep(n, xi), _kernels.hermite_sweep(n, np.array([xi, 0.5]))):
+        for value, want in zip(got, expected):
+            assert np.ravel(value)[0].tobytes() == np.float64(want).tobytes()
 
 
 def test_phase_rounding_bound_arithmetic():
