@@ -246,21 +246,19 @@ def _negligible(n: int, x) -> bool:
 
 
 def _sweep(n: int, x):
-    """(p_{n-1}(x), p_n(x), Gaussian with the carried exponent) on x."""
-    # [()] keeps the state of a scalar x in float64 scalars
-    p_prev = np.zeros_like(x)[()]  # p_{-1} == 0
-    p = np.full_like(x, np.pi ** -0.25)[()]  # p_0
+    """(p_{n-1}(x), p_n(x), Gaussian with the carried exponent) on a 1-D x."""
+    p_prev = np.zeros_like(x)  # p_{-1} == 0
+    p = np.full_like(x, np.pi ** -0.25)  # p_0
     expo = np.zeros_like(x)  # carried base-2 exponent
     # each step writes p_m over p_{m-2} through one spare buffer, in the
-    # operation order of the formula above; scalars need no buffer
-    spare = np.empty_like(x) if x.ndim else None
+    # operation order of the formula above
+    spare = np.empty_like(x)
     for m in range(1, n + 1):
-        a = math.sqrt(2.0 / m)
-        p_next = x * a if spare is None else np.multiply(x, a, spare)
+        p_next = np.multiply(x, math.sqrt(2.0 / m), spare)
         p_next *= p
         p_prev *= math.sqrt((m - 1.0) / m)
         p_next -= p_prev
-        p_prev, p, spare = p, p_next, None if spare is None else p_prev
+        p_prev, p, spare = p, p_next, p_prev
         if m % _RESCALE_STRIDE == 0:
             size = np.abs(p, spare)  # spare is free until the next step
             if np.maximum.reduce(size, initial=0.0) > _RESCALE_LIMIT:
@@ -285,17 +283,16 @@ def hermite_sweep(n: int, xi):
     if not np.isfinite(xi).all():
         raise ValueError("Hermite functions need finite xi")
     if xi.ndim == 0:
-        if not _negligible(n, xi):
-            p_prev, p, scale = _sweep(n, xi)
-            return p_prev * scale, p * scale
         h_prev, h = hermite_sweep(n, np.reshape(xi, 1))
         return h_prev[0], h[0]
     x, back = np.unique(np.abs(xi).ravel(), return_inverse=True)
-    cut = bisect.bisect_left(x, True, key=lambda v: _negligible(n, v))
-    # past the cut h = (+-1) * 0, the sign set below as for any other point
-    p_prev, p, scale = np.ones((3, x.size))
-    scale[cut:] = 0.0
-    p_prev[:cut], p[:cut], scale[:cut] = _sweep(n, x[:cut])
+    cut = x.size
+    if cut and _negligible(n, x[-1]):
+        cut = bisect.bisect_left(x, True, key=lambda v: _negligible(n, v))
+    p_prev, p, scale = _sweep(n, x[:cut])
+    if cut < x.size:  # past the cut h = (+-1) * 0, the sign set below as for any other point
+        p_prev, p, scale = (np.concatenate((v, np.full(x.size - cut, fill)))
+                            for v, fill in ((p_prev, 1.0), (p, 1.0), (scale, 0.0)))
     back = back.reshape(xi.shape)
     p_prev, p, scale = p_prev[back], p[back], scale[back]
     if n:  # h_{-1} stays +0

@@ -39,8 +39,7 @@ def test_hermite_sweep_rejects_negative_order():
 @pytest.mark.parametrize("n, xi", [(0, 0.37), (30, 0.37), (754, 38.6), (30, -0.37), (3, -0.0)])
 def test_hermite_sweep_scalar_matches_one_element_array(n, xi):
     # a scalar xi stays a scalar and gets the array path's bits, also past
-    # a rescale (754, 38.6); the scalar recurrence runs at a negative xi
-    # itself, where the array path takes the parity of |xi|
+    # a rescale (754, 38.6) and at a negative xi, where the parity applies
     for scalar, array in zip(_kernels.hermite_sweep(n, xi),
                              _kernels.hermite_sweep(n, np.array([xi]))):
         assert np.ndim(scalar) == 0
