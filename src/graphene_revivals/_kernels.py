@@ -200,16 +200,16 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
 # base-2 exponent keeps it in range when p_m ~ exp(+xi^2/2) grows past
 # double precision. The results stay bounded (|h_m| < 0.82 for every m).
 #
-# An array xi is swept once per distinct |xi|, in ascending order. The
-# functions have a parity, h_m(-xi) = (-1)^m h_m(xi), and it holds bit for
-# bit: IEEE rounding is symmetric, so negating xi negates every product of
-# the step that holds it. A subtraction x - y that cancels to zero gives +0
-# for either sign of x and y, so at xi < 0 the odd order is flipped as
-# 0.0 - p, which keeps such a zero +0. At xi = -0.0 every term of an odd
-# order is itself a signed zero, and there the flip is a plain negation.
-# h_{-1} (n = 0) is +0 at every xi. p is flipped before the Gaussian
-# multiplies it, so an h that underflows to zero keeps the recurrence's
-# sign.
+# xi is swept once per distinct |xi|, in ascending order (a scalar as a
+# 1-element array). The functions have a parity, h_m(-xi) = (-1)^m h_m(xi),
+# and it holds bit for bit: IEEE rounding is symmetric, so negating xi
+# negates every product of the step that holds it. A subtraction x - y that
+# cancels to zero gives +0 for either sign of x and y, so at xi < 0 the odd
+# order is flipped as 0.0 - p, which keeps such a zero +0. At xi = -0.0
+# every term of an odd order is itself a signed zero, and there the flip is
+# a plain negation. h_{-1} (n = 0) is +0 at every xi. p is flipped before
+# the Gaussian multiplies it, so an h that underflows to zero keeps the
+# recurrence's sign.
 #
 # Past a cut in |xi| the sweep is skipped: there |H_m(x)| <=
 # (2|x|)^m exp(m^2/(4x^2)) bounds both functions below 2^-1080, and the
@@ -219,8 +219,9 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
 # cut lies at |xi| = 38.7 for n = 0, 177.5 for n = 10^4 and tends to
 # 1.7153*sqrt(n), so below it the growth per step, x*sqrt(2/m), stays far
 # below 2^31 for any order a loop can reach, and a 16-step run from at most
-# 2^524 stays finite. Past it p would overflow (between two
-# rescales from |xi| ~ 1e10 once n >= 16), and so would 0.5*xi^2 past 1.3e154.
+# 2^524 stays finite. Past it p would overflow (between two rescales from
+# |xi| ~ 1e10 once n >= 16), and so would 0.5*xi^2 past 1.3e154. The cut is
+# searched for only when the bound clears the largest |xi|.
 
 _RESCALE_LIMIT = 2.0 ** 500
 _RESCALE_FACTOR = 2.0 ** -500

@@ -42,8 +42,8 @@ def hermite_function(n: int, xi):
 
     Stable for n up to at least 10^4 and any finite xi; NaN or infinite xi
     raises ValueError. h_n(-xi) = (-1)^n h_n(xi) holds bit for bit, signed
-    zeros included. Where a bound puts |h_n| below 2^-1080 (past |xi| = 38.7
-    at n = 0, 48.3 at n = 200, 177.5 at n = 10^4) the value is (sign xi)^n * 0.
+    zeros included, and the result is a signed zero where a bound clears the
+    point (see the Hermite comment in _kernels).
     """
     _, h = hermite_sweep(n, xi)
     return h if np.ndim(xi) else float(h)

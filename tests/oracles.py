@@ -50,12 +50,9 @@ def hermite_sweep_by_allocation(n: int, xi):
     normalized three-term recurrence, a 2^-500 rescale of every point past
     2^500 checked each 16 steps, and the Gaussian attached in log space at the
     end), run at every point as given, negative and repeated ones included.
-    hermite_sweep sweeps each distinct |xi| once and gives the negative points
-    the parity (-1)^m with the recurrence's own signed zeros, and it skips the
-    points where both functions are provably below 2^-1080; both must agree
-    with this byte for byte wherever this stays finite. Past |xi| ~ 1e10 it
-    overflows between rescales and returns nan, where hermite_sweep gives the
-    signed zero.
+    hermite_sweep, which sweeps each distinct |xi| once and takes the parity
+    (see the Hermite comment in _kernels), must agree with this byte for byte
+    wherever this stays finite; far out this overflows to nan.
     """
     xi = np.asarray(xi, dtype=np.float64)
     p_prev, p, expo = np.zeros_like(xi), np.full_like(xi, np.pi ** -0.25), np.zeros_like(xi)
