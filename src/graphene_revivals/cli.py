@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from ._format import CsvCells
 from ._kernels import phase_rounding
 from .analysis import detect_revivals, estimate_gamma_max
 from .constants import (E_CHARGE, FERMI_VELOCITY_DEFAULT, FieldParams, convert,
@@ -157,16 +158,22 @@ def config_from_output(path: str) -> tuple[str, RunConfig]:
     return command, RunConfig(**parse_config_lines(kv_lines, source=path))
 
 
-_BLOCK_ROWS = 1 << 14  # CSV rows formatted and written at once
+# CSV rows formatted and written at once. The formatter's buffers take
+# 120 bytes per cell, about 1 MiB at four columns; larger blocks ran no faster.
+_BLOCK_ROWS = 1 << 11
 
 
 def _render(cfg: RunConfig, command: str, header: list[str], columns: list,
             trailer=(), out: str | None = None) -> None:
     """Config echo, a table and trailer lines as CSV or JSON, to out or stdout.
 
-    A column is a float64 array or a short sequence of float and str cells. CSV
-    writes numbers %.17g and strings as they are, _BLOCK_ROWS rows at a time,
-    so it holds one block of text; JSON holds the rows and streams their text.
+    A column is a float64 array or a short sequence of float and str cells.
+    CSV writes strings as they are and every number with the bytes of
+    '%.17g', from one numpy formatter (_format.CsvCells, where its error
+    bound and fallback rule are stated): a table of arrays goes _BLOCK_ROWS
+    rows at a time through buffers that every block reuses, so the writer
+    holds one block of text; the number cells of a short table go through it
+    in one call. JSON holds the rows and streams their text.
     """
     config = asdict(cfg)
     with (contextlib.nullcontext(sys.stdout) if out is None
@@ -183,13 +190,16 @@ def _render(cfg: RunConfig, command: str, header: list[str], columns: list,
         fh.write(f"# graphene-revivals {command}\n")
         fh.writelines(f"# {k} = {_format_value(v)}\n" for k, v in config.items())
         fh.write(",".join(header) + "\n")
-        columns = [c if isinstance(c, np.ndarray) else np.array(
-            [v if isinstance(v, str) else "%.17g" % v for v in c], dtype=object)
-            for c in columns]
-        line = ",".join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
-        for i in range(0, len(columns[0]), _BLOCK_ROWS):
-            rows = zip(*(c[i:i + _BLOCK_ROWS].tolist() for c in columns))
-            fh.write("".join(map(line.__mod__, rows)))
+        if all(isinstance(c, np.ndarray) for c in columns):
+            n = len(columns[0])
+            cells = CsvCells(min(n, _BLOCK_ROWS), len(columns))
+            for i in range(0, n, _BLOCK_ROWS):
+                fh.write(cells([c[i:i + _BLOCK_ROWS] for c in columns]))
+        else:
+            numbers = [v for c in columns for v in c if not isinstance(v, str)]
+            text = iter(CsvCells(len(numbers), 1)([np.array(numbers, float)]).split())
+            fh.writelines(",".join(row) + "\n" for row in zip(
+                *([v if isinstance(v, str) else next(text) for v in c] for c in columns)))
         fh.writelines(f"# {t}\n" for t in trailer)
 
 

@@ -132,13 +132,21 @@ def test_output_independent_of_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_import_loads_no_test_only_dependency():
+def test_import_loads_no_test_only_dependency(tmp_path):
     # the package and its CLI run on numpy alone; a test-only module
-    # imported from src/ would also slow every cold start
-    done = run_python("-c", "import sys, graphene_revivals, graphene_revivals.cli; "
-                      "print(*sorted(sys.modules))")
-    loaded = {name.partition(".")[0] for name in done.stdout.split()}
-    assert not loaded & {"scipy", "mpmath", "hypothesis", "numba"}
+    # imported from src/ would also slow every cold start. After a CSV run
+    # neither fractions nor decimal is loaded either: the formatter takes its
+    # powers of ten from int arithmetic, and they add about 2.4 ms per start
+    for code, unwanted in (
+            ("import sys, graphene_revivals, graphene_revivals.cli",
+             {"scipy", "mpmath", "hypothesis", "numba"}),
+            ("import sys; from graphene_revivals.cli import main; "
+             "main(['autocorr', '--samples', '300', '--out', sys.argv[1]])",
+             {"fractions", "decimal", "_decimal", "_pydecimal"})):
+        done = run_python("-c", code + "; print(*sorted(sys.modules))",
+                          str(tmp_path / "a.csv"))
+        loaded = {name.partition(".")[0] for name in done.stdout.split()}
+        assert not loaded & unwanted
 
 
 @pytest.mark.parametrize("argv", [
