@@ -63,6 +63,7 @@ for _place in range(4):
         [10 if p == _place else 1 for p in range(4)])
     _GROUP_ZEROS[(slice(None),) * (3 - _place) + (0,) * (_place + 1)] += 1
 _GROUP_TEXT, _GROUP_ZEROS = _GROUP_TEXT.view("<u4").ravel(), _GROUP_ZEROS.ravel()
+del _place
 
 
 def _ten_to(s: int) -> tuple[float, float, float, float]:
