@@ -24,7 +24,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,34 +38,40 @@ from .observables import (TimeGrid, abs_squared, autocorrelation, currents,
 from .spectrum import SpectrumModel, timescales
 from .wavepacket import PacketSpec, WeightTable, build_weights
 
-_BANDS_FLAG = {"pos": "positive", "neg": "negative", "both": "both"}
+_BANDS_FLAG = {"both": "both", "neg": "negative", "pos": "positive"}
+
+
+def _flag(default, help_text: str, choices: tuple[str, ...] | None = None):
+    """A RunConfig field that is also the flag --name (dashes for underscores)."""
+    return field(default=default, metadata={"help": help_text, "choices": choices})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters (flag vocabulary, CLI units)."""
+    """Fully resolved run parameters (flag vocabulary, CLI units). A _flag
+    field holds its flag's help text and allowed values for build_parser and
+    the checks below; v_f and gamma_steps are config-file keys only."""
 
-    B: float = 10.0            # tesla
+    B: float = _flag(10.0, "magnetic field [T]")
     v_f: float = FERMI_VELOCITY_DEFAULT  # m/s
-    n0: int = 15
-    sigma: float = 3.0
-    bands: str = "pos"         # pos | neg | both
-    gamma_mev: float = 0.0
-    gap_mev: float = 0.0
-    t_end_fs: float = 0.0      # 0 = auto: 1.1 * revival time
-    samples: int = 4096
-    valleys: str = "k1"        # k1 | both
-    format: str = "csv"        # csv | json
-    si_current: bool = False
+    n0: int = _flag(15, "central Landau level")
+    sigma: float = _flag(3.0, "level-space width parameter")
+    bands: str = _flag("pos", "band content", tuple(_BANDS_FLAG))
+    gamma_mev: float = _flag(0.0, "level width [meV]; for gamma-scan: scan maximum")
+    gap_mev: float = _flag(0.0, "gap [meV]")
+    t_end_fs: float = _flag(0.0, "grid end [fs] (default: 1.1 * revival time)")
+    samples: int = _flag(4096, "number of grid samples")
+    valleys: str = _flag("k1", "one valley or the degeneracy-doubled total", ("k1", "both"))
+    format: str = _flag("csv", "output format", ("csv", "json"))
+    si_current: bool = _flag(False, "scale currents by e*v_F [A m]")
     gamma_steps: int = 6
 
     def __post_init__(self):
-        if self.bands not in _BANDS_FLAG:
-            raise ValueError(f"bands must be pos, neg or both, got {self.bands!r}")
-        if self.valleys not in ("k1", "both"):
-            raise ValueError(f"valleys must be k1 or both, got {self.valleys!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
+        for f in fields(self):
+            allowed, value = f.metadata.get("choices"), getattr(self, f.name)
+            if allowed and value not in allowed:
+                raise ValueError(f"{f.name} must be {', '.join(allowed[:-1])} or "
+                                 f"{allowed[-1]}, got {value!r}")
         if not (isinstance(self.samples, numbers.Integral) and self.samples >= 2):
             raise ValueError(f"samples must be >= 2, got {self.samples}")
         for name in ("gamma_mev", "gap_mev", "t_end_fs"):
@@ -101,22 +107,22 @@ def _format_value(x) -> str:
     return str(x)
 
 
-def _parse_value(name: str, text: str, kind: type):
-    text = text.strip()
-    if kind is bool:
-        low = text.lower()
-        if low in ("1", "true", "yes"):
-            return True
-        if low in ("0", "false", "no"):
-            return False
-        raise ValueError(f"config key {name}: expected a boolean, got {text!r}")
-    try:
-        return kind(text)
-    except ValueError:
-        raise ValueError(f"config key {name}: expected {kind.__name__}, got {text!r}") from None
-
-
 _FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+_BOOL_TEXT = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _setting(where: str, key: str, value, text: bool = True):
+    """Config key `key` as its field's type: parsed from a config line's text,
+    or (text=False) a JSON value that has that type (an int passes as a float)."""
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
+        raise ValueError(f"{where}: unknown config key {key!r}")
+    with contextlib.suppress(KeyError, ValueError, OverflowError):
+        if text:
+            return _BOOL_TEXT[value.lower()] if kind is bool else kind(value)
+        if type(value) is kind or kind is float and type(value) is int:
+            return kind(value)
+    raise ValueError(f"config key {key}: expected {kind.__name__}, got {value!r}")
 
 
 def parse_config_lines(lines, source: str = "config") -> dict:
@@ -130,9 +136,7 @@ def parse_config_lines(lines, source: str = "config") -> dict:
             raise ValueError(f"{source}:{ln}: expected key=value, got {raw.rstrip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ValueError(f"{source}:{ln}: unknown config key {key!r}")
-        out[key] = _parse_value(key, value, _FIELD_TYPES[key])
+        out[key] = _setting(f"{source}:{ln}", key, value.strip())
     return out
 
 
@@ -142,7 +146,8 @@ def config_from_output(path: str) -> tuple[str, RunConfig]:
         text = fh.read()
     if text.lstrip().startswith("{"):
         doc = json.loads(text)
-        return doc["command"], RunConfig(**doc["config"])
+        return doc["command"], RunConfig(**{
+            key: _setting(path, key, value, text=False) for key, value in doc["config"].items()})
     command = None
     kv_lines = []
     for raw in text.splitlines():
@@ -192,13 +197,12 @@ def _render(cfg: RunConfig, command: str, header: list[str], columns: list,
         fh.writelines(f"# {k} = {_format_value(v)}\n" for k, v in config.items())
         fh.write(",".join(header) + "\n")
         if all(isinstance(c, np.ndarray) for c in columns):
-            n = len(columns[0])
-            cells = CsvCells(min(n, _BLOCK_ROWS), len(columns))
-            for i in range(0, n, _BLOCK_ROWS):
+            cells = CsvCells()
+            for i in range(0, len(columns[0]), _BLOCK_ROWS):
                 fh.write(cells([c[i:i + _BLOCK_ROWS] for c in columns]))
         else:
-            numbers = [v for c in columns for v in c if not isinstance(v, str)]
-            text = iter(CsvCells(len(numbers), 1)([np.array(numbers, float)]).split())
+            values = [v for c in columns for v in c if not isinstance(v, str)]
+            text = iter(CsvCells()([np.array(values, float)]).split())
             fh.writelines(",".join(row) + "\n" for row in zip(
                 *([v if isinstance(v, str) else next(text) for v in c] for c in columns)))
         fh.writelines(f"# {t}\n" for t in trailer)
@@ -272,21 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file ('#' comments)")
     common.add_argument("--out", help="output file (default: stdout)")
-    common.add_argument("--B", type=float, help="magnetic field [T]")
-    common.add_argument("--n0", type=int, help="central Landau level")
-    common.add_argument("--sigma", type=float, help="level-space width parameter")
-    common.add_argument("--bands", choices=sorted(_BANDS_FLAG), help="band content")
-    common.add_argument("--gamma-mev", type=float,
-                        help="level width [meV]; for gamma-scan: scan maximum")
-    common.add_argument("--gap-mev", type=float, help="gap [meV]")
-    common.add_argument("--t-end-fs", type=float,
-                        help="grid end [fs] (default: 1.1 * revival time)")
-    common.add_argument("--samples", type=int, help="number of grid samples")
-    common.add_argument("--valleys", choices=["k1", "both"],
-                        help="one valley or the degeneracy-doubled total")
-    common.add_argument("--format", choices=["csv", "json"], help="output format")
-    common.add_argument("--si-current", action="store_const", const=True,
-                        help="scale currents by e*v_F [A m]")
+    for f in fields(RunConfig):
+        kind = _FIELD_TYPES[f.name]
+        if f.metadata:  # a _flag field
+            common.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"],
+                                **({"action": "store_const", "const": True} if kind is bool
+                                   else {"type": kind, "choices": f.metadata["choices"]}))
 
     parser = argparse.ArgumentParser(
         prog="graphene-revivals",

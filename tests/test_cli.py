@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,8 @@ from graphene_revivals import (E_CHARGE, BroadeningModel, FieldParams,
                                observables, timescales,
                                total_current_both_valleys)
 from graphene_revivals import cli
-from graphene_revivals.cli import (RunConfig, config_from_output, main,
-                                   parse_config_lines)
+from graphene_revivals.cli import (RunConfig, build_parser, config_from_output,
+                                   main, parse_config_lines, resolve_config)
 
 from oracles import autocorr_lines_by_value, current_lines_by_value
 
@@ -136,16 +136,18 @@ def test_import_loads_no_test_only_dependency(tmp_path):
     # the package and its CLI run on numpy alone; a test-only module
     # imported from src/ would also slow every cold start. After a CSV run
     # neither fractions nor decimal is loaded either: the formatter takes its
-    # powers of ten from int arithmetic, and they add about 2.4 ms per start
+    # powers of ten from int arithmetic, and they add about 2.4 ms per start;
+    # nor is numpy.ma, which np.unique on integers imports (about 12.8 ms)
     for code, unwanted in (
             ("import sys, graphene_revivals, graphene_revivals.cli",
              {"scipy", "mpmath", "hypothesis", "numba"}),
             ("import sys; from graphene_revivals.cli import main; "
              "main(['autocorr', '--samples', '300', '--out', sys.argv[1]])",
-             {"fractions", "decimal", "_decimal", "_pydecimal"})):
+             {"fractions", "decimal", "_decimal", "_pydecimal", "numpy.ma"})):
         done = run_python("-c", code + "; print(*sorted(sys.modules))",
                           str(tmp_path / "a.csv"))
-        loaded = {name.partition(".")[0] for name in done.stdout.split()}
+        loaded = {part for name in done.stdout.split()
+                  for part in (name, name.partition(".")[0])}
         assert not loaded & unwanted
 
 
@@ -326,6 +328,45 @@ def test_json_output_round_trip(tmp_path):
     assert doc["rows"][0][3] == pytest.approx(1.0, abs=1e-12)
     command, cfg = config_from_output(str(out))
     assert command == "autocorr" and cfg.samples == 64
+
+
+@pytest.mark.parametrize("key, value", [
+    ("foo", 1), ("B", "ten"), ("sigma", "3"), ("n0", True),
+    ("bands", "pos # a comment in a config file, not in JSON"),
+])
+def test_json_echo_setting_of_another_type_raises(tmp_path, key, value):
+    # a JSON echo is read by the config file's key and type rules, checked on
+    # the JSON values themselves: no unknown key, no string for a number, no
+    # bool for a count, and no '#' comment inside a string
+    out = tmp_path / "a.json"
+    assert run_cli("autocorr", "--samples", "64", "--format", "json",
+                   "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    doc["config"][key] = value
+    out.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=key):
+        config_from_output(str(out))
+
+
+_FLAG_SAMPLES = {"B": "7.5", "n0": "11", "sigma": "40.0", "bands": "both",
+                 "gamma_mev": "0.7", "gap_mev": "2.5", "t_end_fs": "1234.5",
+                 "samples": "300", "valleys": "both", "format": "json",
+                 "si_current": "true"}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.metadata])
+def test_flag_and_config_line_agree(tmp_path, name):
+    # every flag-carrying setting means the same as a flag and as a config
+    # line (a new flag fails here until it has a sample value above)
+    text = _FLAG_SAMPLES[name]
+    flag = ["--" + name.replace("_", "-")] + ([] if text == "true" else [text])
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{name} = {text}\n")
+    parser = build_parser()
+    by_flag = resolve_config(parser.parse_args(["current", *flag]))
+    by_line = resolve_config(parser.parse_args(["current", "--config", str(cfg_file)]))
+    assert by_flag == by_line
+    assert getattr(by_flag, name) != getattr(RunConfig(), name)
 
 
 def test_bad_flag_value_exits_1(tmp_path, capsys):
