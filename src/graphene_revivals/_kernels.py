@@ -7,7 +7,6 @@ Both are plain numpy.
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 
@@ -211,39 +210,20 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
 # the Gaussian multiplies it, so an h that underflows to zero keeps the
 # recurrence's sign.
 #
-# Past a cut in |xi| the sweep is skipped: there |H_m(x)| <=
-# (2|x|)^m exp(m^2/(4x^2)) bounds both functions below 2^-1080, and the
-# recurrence would give (sign xi)^m * 0 (its p_m has the sign of xi^m past
-# the largest zero of H_m; the computed Gaussian is zero, or subnormal and
-# within a factor 2 of the true one, so the product rounds to zero). The
-# cut lies at |xi| = 38.7 for n = 0, 177.5 for n = 10^4 and tends to
-# 1.7153*sqrt(n), so below it the growth per step, x*sqrt(2/m), stays far
-# below 2^31 for any order a loop can reach, and a 16-step run from at most
-# 2^524 stays finite. Past it p would overflow (between two rescales from
-# |xi| ~ 1e10 once n >= 16), and so would 0.5*xi^2 past 1.3e154. The cut is
-# searched for only when the bound clears the largest |xi|.
+# |xi| is clamped at 2*sqrt(n) + 40 before the sweep, so far points collapse
+# into one swept value and no square or product in the sweep overflows.
+# Past the clamp |H_m(x)| <= (2|x|)^m exp(m^2/(4x^2)) puts both functions
+# below 2^-1080 (the bound is in tests/oracles.py), and the recurrence at the
+# clamp gives the (sign xi)^m * 0 every farther point needs: p_m has the sign
+# of xi^m past the largest zero of H_m, and the computed Gaussian is zero, or
+# subnormal and within a factor 2 of the true one, so the product rounds to 0.
 
 _RESCALE_LIMIT = 2.0 ** 500
 _RESCALE_FACTOR = 2.0 ** -500
-_RESCALE_STRIDE = 16  # growth per step stays far below 2^31; 16 steps are safe
+# a step grows |p| by at most |xi|*sqrt(2/m) + 1 <= sqrt(2)*(2*sqrt(n) + 40) + 1,
+# below 2^31 for n < 5e17, so 16 steps from at most 2^524 stay finite
+_RESCALE_STRIDE = 16
 _LN2 = float(np.log(2.0))
-_NEGLIGIBLE_LOG = -1080.0 * _LN2  # 5 bits under 2^-1075, below which a product rounds to 0
-_LOG_SQRT_PI = 0.5 * math.log(math.pi)
-
-
-def _negligible(n: int, x) -> bool:
-    """True where a bound proves |h_{n-1}(x)|, |h_n(x)| < 2^-1080.
-
-    The bound, ln|h_m(x)| <= -x^2/2 + m ln(2x) + m^2/(4x^2) - ln C_m, falls
-    with |x|, so the points it clears are a suffix of the sorted |xi|. It is
-    taken at max(|x|, 1): at |x| = 1 it exceeds 2^-1080 for every m, so no
-    point below 1 is cleared. Python floats overflow x*x to inf without a
-    warning, which clears every |x| past 1.3e154.
-    """
-    x = max(abs(float(x)), 1.0)
-    return max(-0.5 * x * x + m * (_LN2 + math.log(x)) + m * m / (4.0 * x * x)
-               - 0.5 * (m * _LN2 + math.lgamma(m + 1) + _LOG_SQRT_PI)
-               for m in (n - 1, n) if m >= 0) <= _NEGLIGIBLE_LOG
 
 
 def _sweep(n: int, x):
@@ -291,14 +271,9 @@ def hermite_sweep(n: int, xi):
     if xi.ndim == 0:
         h_prev, h = hermite_sweep(n, np.reshape(xi, 1))
         return h_prev[0], h[0]
-    x, back = np.unique(np.abs(xi).ravel(), return_inverse=True)
-    cut = x.size
-    if cut and _negligible(n, x[-1]):
-        cut = bisect.bisect_left(x, True, key=lambda v: _negligible(n, v))
-    p_prev, p, scale = _sweep(n, x[:cut])
-    if cut < x.size:  # past the cut h = (+-1) * 0, the sign set below as for any other point
-        p_prev, p, scale = (np.concatenate((v, np.full(x.size - cut, fill)))
-                            for v, fill in ((p_prev, 1.0), (p, 1.0), (scale, 0.0)))
+    x, back = np.unique(np.minimum(np.abs(xi).ravel(), 2.0 * math.sqrt(n) + 40.0),
+                        return_inverse=True)
+    p_prev, p, scale = _sweep(n, x)
     back = back.reshape(xi.shape)
     p_prev, p, scale = p_prev[back], p[back], scale[back]
     if n:  # h_{-1} stays +0

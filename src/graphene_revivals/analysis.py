@@ -86,7 +86,10 @@ def _require_real(series: ObservableSeries) -> np.ndarray:
     if np.iscomplexobj(v):
         raise ValueError("peak analysis needs a real series; "
                          "take |.|^2 of the autocorrelation first")
-    return v.astype(np.float64)
+    v = v.astype(np.float64)
+    if not np.isfinite(v).all():
+        raise ValueError("peak analysis needs finite values")
+    return v
 
 
 def find_peaks(series: ObservableSeries, min_prominence: float) -> list[Peak]:
@@ -101,8 +104,6 @@ def find_peaks(series: ObservableSeries, min_prominence: float) -> list[Peak]:
     v = _require_real(series)
     if v.size < 3:
         raise ValueError(f"need at least 3 samples to find peaks, got {v.size}")
-    if not np.isfinite(v).all():
-        raise ValueError("peak analysis needs finite values")
     starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
     rising = v[starts[1:]] > v[starts[:-1]]
     turns = np.flatnonzero(rising[:-1] != rising[1:]) + 1

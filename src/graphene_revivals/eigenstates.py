@@ -42,8 +42,8 @@ def hermite_function(n: int, xi):
 
     Stable for n up to at least 10^4 and any finite xi; NaN or infinite xi
     raises ValueError. h_n(-xi) = (-1)^n h_n(xi) holds bit for bit, signed
-    zeros included, and the result is a signed zero where a bound clears the
-    point (see the Hermite comment in _kernels).
+    zeros included, and the result is a signed zero past |xi| = 2*sqrt(n) + 40,
+    where the sweep clamps |xi| (see the Hermite comment in _kernels).
     """
     _, h = hermite_sweep(n, xi)
     return h if np.ndim(xi) else float(h)

@@ -46,13 +46,13 @@ class TimeScales:
 def landau_energy(model: SpectrumModel, n, s: int):
     """Energy of Landau level (n, s): s * hypot(Delta, hbar*Omega * sqrt(n)) [J].
 
-    n may be a scalar or an integer array; all entries must be >= 0.
+    n may be a scalar or an integer array; all entries must be finite and >= 0.
     """
     if s not in (+1, -1):
         raise ValueError(f"band index s must be +1 or -1, got {s}")
     n_arr = np.asarray(n)
-    if np.any(n_arr < 0):
-        raise ValueError("level index n must be non-negative")
+    if not np.all((n_arr >= 0) & np.isfinite(n_arr)):
+        raise ValueError("level index n must be finite and non-negative")
     e = s * np.hypot(model.params.gap_energy, HBAR * model.omega * np.sqrt(n_arr))
     return e if n_arr.ndim else float(e)
 

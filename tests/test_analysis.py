@@ -145,10 +145,25 @@ def test_find_peaks_equals_walk_property(values, min_prominence):
     assert_matches_walk(np.asarray(values), min_prominence)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_find_peaks_rejects_non_finite(bad):
-    with pytest.raises(ValueError):
-        find_peaks(series_of([0.0, 1.0, bad, 0.0]), 0.0)
+_UNIT_SCALES = TimeScales(t_classical=0.25, t_revival=1.0, t_zitterbewegung=0.0625)
+
+
+# every analysis entry point; the find_peaks cases keep the bare value as id
+@pytest.mark.parametrize("analyse, bad", [
+    pytest.param(analyse, bad, id=f"{name}{bad}")
+    for name, analyse in (
+        ("", lambda s: find_peaks(s, 0.0)),
+        ("dominant_period-", lambda s: dominant_period(s, (0.0, 1.0))),
+        ("measure_period-", lambda s: measure_period(s, (0.0, 1.0))),
+        ("station_visible_log-", lambda s: station_visible_log(s, _UNIT_SCALES)),
+    )
+    for bad in (math.nan, math.inf, -math.inf)])
+def test_find_peaks_rejects_non_finite(analyse, bad):
+    # a clean four-period sine with one bad sample away from the T_r/4 window
+    v = np.sin(np.linspace(0.0, 8.0 * np.pi, 65))
+    v[40] = bad
+    with pytest.raises(ValueError, match="finite"):
+        analyse(series_of(v))
 
 
 def test_min_prominence_filters():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from graphene_revivals import PacketSpec, SpectrumModel, _kernels, build_weights, observables
 from graphene_revivals.cli import RunConfig
 
-from oracles import exact_sums_of_phases, exact_trig_sums, hermite_sweep_by_allocation
+from oracles import (exact_sums_of_phases, exact_trig_sums, hermite_log_bound,
+                     hermite_sweep_by_allocation)
 
 
 def test_trig_series_shape_validation():
@@ -46,6 +47,14 @@ def test_hermite_sweep_scalar_matches_one_element_array(n, xi):
         assert scalar.tobytes() == array[0].tobytes()
 
 
+def _straddling_clamp(n):
+    # a grid over 1.6 times the clamp of |xi|, with the clamp, its float
+    # neighbours and a far point, on both sides
+    clamp = 2.0 * math.sqrt(n) + 40.0
+    edge = np.array([clamp, np.nextafter(clamp, 0.0), np.nextafter(clamp, np.inf), 1e6])
+    return np.concatenate((np.linspace(-1.6 * clamp, 1.6 * clamp, 401), edge, -edge))
+
+
 # -0.0 and 0.0, repeated values, and negative points without a mirror
 _SIGNED_GRID = np.array([-0.0, 0.0, 1.5, 1.5, -1.5, -2.25, -0.3, 0.3, -7.0, 0.0, -0.0, 4.0,
                          -5e-324, 1e-160, -1e-160])
@@ -64,12 +73,13 @@ _SIGNED_GRID = np.array([-0.0, 0.0, 1.5, 1.5, -1.5, -2.25, -0.3, 0.3, -7.0, 0.0,
     # p_5 and p_7 cancel to +0 here, and to +0 at -xi too, not to -0
     (5, np.array([2.0201828704560856, -2.0201828704560856])),
     (8, np.array([0.8162878828589646, -0.8162878828589646])),
+    *((n, _straddling_clamp(n)) for n in (0, 1, 16, 17, 200, 10000)),
 ])
 def test_hermite_sweep_bits_match_the_allocating_recurrence(n, xi):
     # the in-place sweep keeps every operation and its order, and a negative
     # xi takes the parity of |xi| with the recurrence's own signed zeros;
     # (10000, 4001 points over [-150, 150]) is the library benchmark's
-    # eigenspinor grid, and (200, [-60, 60]) reaches past the underflow cut
+    # eigenspinor grid, and the last six grids straddle the clamp of |xi|
     for got, expected in zip(_kernels.hermite_sweep(n, xi), hermite_sweep_by_allocation(n, xi)):
         assert np.shape(got) == np.shape(xi)
         assert got.tobytes() == expected.tobytes()
@@ -85,6 +95,17 @@ def test_hermite_sweep_is_a_signed_zero_far_out(n, xi):
     for got in (_kernels.hermite_sweep(n, xi), _kernels.hermite_sweep(n, np.array([xi, 0.5]))):
         for value, want in zip(got, expected):
             assert np.ravel(value)[0].tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("orders", [
+    range(5001),
+    sorted({int(n) for n in np.geomspace(5000, 1e15, 400)}),
+], ids=["0-5000", "geometric-to-1e15"])
+def test_hermite_bound_clears_the_clamp(orders):
+    # past |xi| = 2 sqrt(n) + 40 both functions are below 2^-1080, so the
+    # sweep's clamp leaves every farther point the zero it gets at the clamp
+    for n in orders:
+        assert hermite_log_bound(n, 2.0 * math.sqrt(n) + 40.0) <= -1080.0 * math.log(2.0), n
 
 
 def test_phase_rounding_bound_arithmetic():

@@ -37,6 +37,11 @@ def test_energy_validation(model10):
         landau_energy(model10, -1, +1)
     with pytest.raises(ValueError):
         landau_energy(model10, 2, 0)
+    for bad in (math.nan, math.inf, -math.inf, np.array([1.0, math.nan, 3.0])):
+        with pytest.raises(ValueError, match="finite"):
+            landau_energy(model10, bad, +1)
+    with pytest.raises(ValueError, match="level index"):
+        timescales(model10, math.nan)
 
 
 def test_derivatives_at_n0_1(model10):
