@@ -68,16 +68,13 @@ def hermite_sweep_by_allocation(n: int, xi):
 
 
 def hermite_log_bound(n: int, x: float) -> float:
-    """An upper bound on ln max(|h_{n-1}(x)|, |h_n(x)|).
+    """An upper bound on ln max(|h_{n-1}(x)|, |h_n(x)|) at x != 0.
 
     H_m(x) = (2x)^m sum_k (-1)^k m!/(k!(m-2k)!) (2x)^(-2k), and
     m!/(m-2k)! <= m^(2k), so |H_m(x)| <= (2|x|)^m exp(m^2/(4x^2)); with
     C_m = sqrt(2^m m! sqrt(pi)),
 
         ln|h_m(x)| <= -x^2/2 + m ln(2|x|) + m^2/(4x^2) - ln C_m.
-
-    Python floats overflow x*x to inf without a warning, so past 1.3e154
-    this is -inf.
     """
     x = abs(float(x))
     return max(-0.5 * x * x + m * math.log(2.0 * x) + m * m / (4.0 * x * x)
