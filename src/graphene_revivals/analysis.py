@@ -20,7 +20,7 @@ station is absent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ GAMMA_BRACKET = 20e-3 * E_CHARGE
 GAMMA_SAMPLES = 40001
 
 
-@dataclass(frozen=True)
-class Peak:
+class Peak(NamedTuple):
     """A local maximum: location [s], height and prominence (series units)."""
 
     time: float
@@ -63,15 +62,13 @@ class Peak:
     prominence: float
 
 
-@dataclass(frozen=True)
-class StationResult:
+class StationResult(NamedTuple):
     fraction: float
     peak: Peak | None
     classification: str  # full | fractional | absent
 
 
-@dataclass(frozen=True)
-class RevivalReport:
+class RevivalReport(NamedTuple):
     stations: tuple[StationResult, ...]
 
     def classification(self, fraction: float) -> str:
@@ -99,8 +96,11 @@ def find_peaks(series: ObservableSeries, min_prominence: float) -> list[Peak]:
     the leftmost sample wins. The prominence of a peak is its height above
     the higher of the two valley floors separating it from higher ground
     (or the series ends). Output is ordered by time. O(N) time and memory:
-    one monotone-stack sweep each way over the turning points.
+    one monotone-stack sweep each way over the turning points. A NaN
+    min_prominence raises ValueError.
     """
+    if np.isnan(min_prominence):
+        raise ValueError(f"min_prominence must be a number, got {min_prominence}")
     v = _require_real(series)
     if v.size < 3:
         raise ValueError(f"need at least 3 samples to find peaks, got {v.size}")
@@ -140,9 +140,12 @@ def _reference_value(v: np.ndarray) -> float:
 
 def detect_revivals(series: ObservableSeries, scales: TimeScales) -> RevivalReport:
     """Classify the four revival stations; the series must reach past the
-    last station's window, to (1 + STATION_WINDOW) * t_revival."""
-    v = _require_real(series)
+    last station's window, to (1 + STATION_WINDOW) * t_revival, and
+    t_revival must be finite and > 0."""
     t_r = scales.t_revival
+    if not 0.0 < t_r < np.inf:
+        raise ValueError(f"t_revival must be finite and > 0, got {t_r}")
+    v = _require_real(series)
     span = 1.0 + STATION_WINDOW
     if series.grid.t_end < span * t_r:
         raise ValueError(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import numbers
 import sys
@@ -28,8 +27,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from ._format import CsvCells
 from ._kernels import phase_rounding
+# eager, unlike json and _format: a span tracer patches only modules loaded before main
 from .analysis import detect_revivals, estimate_gamma_max
 from .constants import (E_CHARGE, FERMI_VELOCITY_DEFAULT, FieldParams, convert,
                         magnetic_length)
@@ -145,6 +144,8 @@ def config_from_output(path: str) -> tuple[str, RunConfig]:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
+        import json
+
         doc = json.loads(text)
         return doc["command"], RunConfig(**{
             key: _setting(path, key, value, text=False) for key, value in doc["config"].items()})
@@ -175,16 +176,20 @@ def _render(cfg: RunConfig, command: str, header: list[str], columns: list,
 
     A column is a float64 array or a short sequence of float and str cells.
     CSV writes strings as they are and every number with the bytes of
-    '%.17g', from one numpy formatter (_format.CsvCells, where its error
-    bound and fallback rule are stated): a table of arrays goes _BLOCK_ROWS
-    rows at a time through buffers that every block reuses, so the writer
-    holds one block of text; the number cells of a short table go through it
-    in one call. JSON holds the rows and streams their text.
+    '%.17g'. A table of arrays goes _BLOCK_ROWS rows at a time through one
+    numpy formatter (_format.CsvCells, where its error bound and fallback
+    rule are stated) and buffers that every block reuses, so the writer
+    holds one block of text; the number cells of a short table are written
+    '%.17g' % v. JSON holds the rows and streams their text. Each branch
+    imports json or _format itself, so a cold start that takes the other
+    branches does not load them.
     """
     config = asdict(cfg)
     with (contextlib.nullcontext(sys.stdout) if out is None
           else open(out, "w", encoding="utf-8", newline="\n")) as fh:
         if cfg.format == "json":
+            import json
+
             rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
                               for c in columns)))
             doc = {"command": command, "config": config, "columns": header, "rows": rows}
@@ -197,14 +202,14 @@ def _render(cfg: RunConfig, command: str, header: list[str], columns: list,
         fh.writelines(f"# {k} = {_format_value(v)}\n" for k, v in config.items())
         fh.write(",".join(header) + "\n")
         if all(isinstance(c, np.ndarray) for c in columns):
+            from ._format import CsvCells
+
             cells = CsvCells()
             for i in range(0, len(columns[0]), _BLOCK_ROWS):
                 fh.write(cells([c[i:i + _BLOCK_ROWS] for c in columns]))
         else:
-            values = [v for c in columns for v in c if not isinstance(v, str)]
-            text = iter(CsvCells()([np.array(values, float)]).split())
-            fh.writelines(",".join(row) + "\n" for row in zip(
-                *([v if isinstance(v, str) else next(text) for v in c] for c in columns)))
+            fh.writelines(",".join(v if isinstance(v, str) else "%.17g" % v for v in row)
+                          + "\n" for row in zip(*columns))
         fh.writelines(f"# {t}\n" for t in trailer)
 
 

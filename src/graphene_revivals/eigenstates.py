@@ -20,7 +20,7 @@ n = 0; it is reported as-is, not renormalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from ._kernels import hermite_sweep
 VALLEYS = ("K1", "K2")
 
 
-@dataclass(frozen=True)
-class Eigenspinor:
+class Eigenspinor(NamedTuple):
     """Spinor components at one valley for level (n, s), sampled in xi."""
 
     upper: np.ndarray

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,7 @@ class TimeGrid:
         return (self.t_end - self.t_start) / (self.n_samples - 1)
 
 
-@dataclass(frozen=True)
-class ObservableSeries:
+class ObservableSeries(NamedTuple):
     """A sampled observable: the complex, dimensionless autocorrelation A(t),
     or a real current j_x or j_y in units of e*v_F."""
 
@@ -133,7 +133,7 @@ def damped(series: ObservableSeries, gamma: float) -> ObservableSeries:
     """
     _check_width(gamma)
     env = np.exp(-2.0 * gamma * series.grid.times / HBAR)
-    return replace(series, values=series.values * env)
+    return series._replace(values=series.values * env)
 
 
 def _current_pair(table, model, grid, broadening):
@@ -189,11 +189,11 @@ def total_current_both_valleys(per_valley: ObservableSeries) -> ObservableSeries
     The two valleys host distinct eigenspinors but identical spectra, and a
     packet built with common coefficients contributes equally from each.
     """
-    return replace(per_valley, values=2.0 * per_valley.values)
+    return per_valley._replace(values=2.0 * per_valley.values)
 
 
 def abs_squared(series: ObservableSeries) -> ObservableSeries:
     """|values|^2 as a real series (e.g. revival strength |A(t)|^2); hypot,
     then pow: the same bits as the scalar abs(v) ** 2."""
     v = series.values
-    return replace(series, values=np.float_power(np.hypot(v.real, v.imag), 2.0))
+    return series._replace(values=np.float_power(np.hypot(v.real, v.imag), 2.0))

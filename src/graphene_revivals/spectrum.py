@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,7 @@ class SpectrumModel:
         object.__setattr__(self, "omega", _omega(self.params))
 
 
-@dataclass(frozen=True)
-class TimeScales:
+class TimeScales(NamedTuple):
     """The three characteristic periods of a packet centred on one level [s]."""
 
     t_classical: float

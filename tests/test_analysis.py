@@ -166,6 +166,22 @@ def test_find_peaks_rejects_non_finite(analyse, bad):
         analyse(series_of(v))
 
 
+# the series of test_synthetic_two_frequency_full_revival in units of T_r,
+# whose T_r station is full at t_revival = 1.0: a NaN threshold, a NaN or
+# non-positive t_revival would otherwise leave no peak and no station
+@pytest.mark.parametrize("analyse, message", [
+    pytest.param(lambda s: find_peaks(s, math.nan), "min_prominence must be a number",
+                 id="find_peaks-nan"),
+    *(pytest.param(lambda s, t_r=t_r: detect_revivals(s, TimeScales(t_r / 4, t_r, t_r / 16)),
+                   "t_revival must be finite and > 0", id=f"detect_revivals-{t_r}")
+      for t_r in (math.nan, math.inf, 0.0, -1.0)),
+])
+def test_analysis_rejects_non_finite_thresholds(analyse, message):
+    t = np.linspace(0.0, 1.5, 3001)
+    with pytest.raises(ValueError, match=message):
+        analyse(series_of(0.5 + 0.5 * np.cos(2 * np.pi * t), t_end=1.5))
+
+
 def test_min_prominence_filters():
     rng = np.random.default_rng(3)
     v = rng.normal(size=300)

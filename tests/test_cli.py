@@ -132,23 +132,63 @@ def test_output_independent_of_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# the package's modules, each after the modules it imports
+SUBMODULES = ("constants", "_kernels", "_format", "spectrum", "wavepacket",
+              "observables", "eigenstates", "analysis", "cli")
+
+
 def test_import_loads_no_test_only_dependency(tmp_path):
     # the package and its CLI run on numpy alone; a test-only module
-    # imported from src/ would also slow every cold start. After a CSV run
+    # imported from src/ would also slow every cold start. The package
+    # import itself loads neither numpy nor a submodule. After a CSV run
     # neither fractions nor decimal is loaded either: the formatter takes its
     # powers of ten from int arithmetic, and they add about 2.4 ms per start;
-    # nor is numpy.ma, which np.unique on integers imports (about 12.8 ms)
+    # nor is numpy.ma, which np.unique on integers imports (about 12.8 ms).
+    # No CSV run loads json or eigenstates, and the short tables of
+    # timescales and gamma-scan do not load the formatter
+    run = "import sys; from graphene_revivals.cli import main; main([%r, '--out', sys.argv[1]])"
+    unwanted_by_run = {"fractions", "decimal", "_decimal", "_pydecimal", "numpy.ma",
+                       "json", "graphene_revivals.eigenstates"}
     for code, unwanted in (
+            ("import sys, graphene_revivals",
+             {"numpy", *(f"graphene_revivals.{m}" for m in SUBMODULES)}),
             ("import sys, graphene_revivals, graphene_revivals.cli",
              {"scipy", "mpmath", "hypothesis", "numba"}),
-            ("import sys; from graphene_revivals.cli import main; "
-             "main(['autocorr', '--samples', '300', '--out', sys.argv[1]])",
-             {"fractions", "decimal", "_decimal", "_pydecimal", "numpy.ma"})):
+            (run % "autocorr", unwanted_by_run),
+            (run % "timescales", {*unwanted_by_run, "graphene_revivals._format"}),
+            (run % "gamma-scan", {*unwanted_by_run, "graphene_revivals._format"})):
         done = run_python("-c", code + "; print(*sorted(sys.modules))",
                           str(tmp_path / "a.csv"))
         loaded = {part for name in done.stdout.split()
                   for part in (name, name.partition(".")[0])}
-        assert not loaded & unwanted
+        assert not loaded & unwanted, code
+
+
+def test_package_names_resolve_on_access():
+    # each submodule, reached first through the package attribute, and each
+    # public name resolve to the object their module holds, and a star import
+    # binds every public name; the package stores none of the public names
+    code = f"""
+import pkgutil, sys
+import graphene_revivals as gr
+assert {{m.name for m in pkgutil.iter_modules(gr.__path__)}} == set({SUBMODULES!r})
+for name in {SUBMODULES!r}:
+    assert name not in vars(gr), name
+    assert getattr(gr, name) is sys.modules["graphene_revivals." + name], name
+modules = [sys.modules["graphene_revivals." + name] for name in {SUBMODULES!r}]
+assert gr.__all__[-1] == "__version__"
+for name in gr.__all__[:-1]:
+    value = getattr(gr, name)
+    assert any(vars(m).get(name) is value for m in modules), name
+    assert name not in vars(gr) and name in dir(gr), name
+star = {{}}
+exec("from graphene_revivals import *", star)
+assert all(star[name] is getattr(gr, name) for name in gr.__all__)
+print("ok")
+"""
+    assert run_python("-c", code).stdout == "ok\n"
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        graphene_revivals.nonexistent  # noqa: B018
 
 
 @pytest.mark.parametrize("argv", [

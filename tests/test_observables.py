@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from graphene_revivals import (HBAR, BroadeningModel, FieldParams, PacketSpec,
-                               SpectrumModel, TimeGrid, abs_squared,
-                               autocorrelation, build_weights, convert,
+from graphene_revivals import (HBAR, BroadeningModel, Eigenspinor, FieldParams,
+                               ObservableSeries, PacketSpec, Peak, RevivalReport,
+                               SpectrumModel, StationResult, TimeGrid, TimeScales,
+                               abs_squared, autocorrelation, build_weights, convert,
                                current_single_band, current_two_band,
                                currents, damped, landau_energy, measure_period,
                                timescales, total_current_both_valleys)
@@ -258,6 +259,39 @@ def test_abs_squared(table15, model10):
     strength = abs_squared(series)
     assert strength.values == pytest.approx(np.abs(series.values) ** 2, abs=1e-15)
     assert not np.iscomplexobj(strength.values)
+
+
+@pytest.mark.parametrize("record, names", [
+    (TimeScales, ("t_classical", "t_revival", "t_zitterbewegung")),
+    (ObservableSeries, ("grid", "values")),
+    (Peak, ("time", "value", "prominence")),
+    (StationResult, ("fraction", "peak", "classification")),
+    (RevivalReport, ("stations",)),
+    (Eigenspinor, ("upper", "lower")),
+])
+def test_result_records(record, names):
+    # the records validate nothing: any values construct them, by position in
+    # this field order or by keyword; they are immutable, and their repr (which
+    # result digests hash) names every field
+    values = [object() for _ in names]
+    for rec in (record(*values), record(**dict(zip(names, values)))):
+        assert [getattr(rec, n) for n in names] == values
+        with pytest.raises(AttributeError):
+            setattr(rec, names[0], None)
+        assert repr(rec) == f"{record.__name__}({', '.join(map('{}={!r}'.format, names, values))})"
+
+
+def test_record_methods_keep_the_grid():
+    peak = Peak(time=1.0, value=0.8, prominence=0.6)
+    report = RevivalReport((StationResult(0.5, None, "absent"), StationResult(1.0, peak, "full")))
+    assert (report.classification(0.5), report.classification(1.0)) == ("absent", "full")
+    with pytest.raises(KeyError):
+        report.classification(0.25)
+    grid = TimeGrid(0.0, 1e-12, 5)
+    series = ObservableSeries(grid, np.linspace(-1.0, 1.0, 5) + 0j)
+    for derived in (damped(series, 1e-22), abs_squared(series),
+                    total_current_both_valleys(series)):
+        assert derived.grid is grid and derived.values is not series.values
 
 
 def test_two_band_slow_component_matches_single_band(model10):
