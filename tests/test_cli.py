@@ -188,7 +188,7 @@ print("ok")
 """
     assert run_python("-c", code).stdout == "ok\n"
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
-        graphene_revivals.nonexistent  # noqa: B018
+        getattr(graphene_revivals, "nonexistent")
 
 
 @pytest.mark.parametrize("argv", [
