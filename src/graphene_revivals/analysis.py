@@ -112,12 +112,11 @@ def find_peaks(series: ObservableSeries, min_prominence: float) -> list[Peak]:
     heights = v[kept].tolist()
     left, right = _floors(heights), _floors(heights[::-1])[::-1]
     times = series.grid.times
-    peaks: list[Peak] = []
+    peaks = []
     for k in (np.flatnonzero(rising[turns - 1]) + 1).tolist():
         prom = heights[k] - max(left[k], right[k])
         if prom >= min_prominence:
-            peaks.append(Peak(time=float(times[kept[k]]), value=heights[k],
-                              prominence=prom))
+            peaks.append(Peak(float(times[kept[k]]), heights[k], prom))
     return peaks
 
 
@@ -135,7 +134,7 @@ def _floors(heights: list[float]) -> list[float]:
 
 def _reference_value(v: np.ndarray) -> float:
     ref = abs(float(v[0]))
-    return ref if ref != 0.0 else float(np.max(np.abs(v)))
+    return ref or float(np.max(np.abs(v)))
 
 
 def detect_revivals(series: ObservableSeries, scales: TimeScales) -> RevivalReport:
@@ -181,7 +180,7 @@ def measure_period(series: ObservableSeries, window: tuple[float, float]) -> flo
     if tw.size < 4:
         raise ValueError("window contains too few samples")
     sgn = np.sign(vw)
-    idx = np.where((sgn[:-1] != sgn[1:]) & (sgn[:-1] != 0))[0]
+    idx = np.flatnonzero((sgn[:-1] != sgn[1:]) & (sgn[:-1] != 0))
     if idx.size < 3:
         raise ValueError(f"need at least 3 zero crossings in the window, got {idx.size}")
     t_cross = tw[idx] - vw[idx] * (tw[idx + 1] - tw[idx]) / (vw[idx + 1] - vw[idx])
@@ -229,7 +228,10 @@ def station_visible_log(series: ObservableSeries, scales: TimeScales,
     floor * max |values| of the whole series, i.e. the revival bump would
     still show on a logarithmic plot with -log10(floor) decades of range.
     A window with no nonzero value (any window of a zero series) is not visible.
+    A floor that is NaN, infinite or negative raises ValueError.
     """
+    if not 0.0 <= floor < np.inf:
+        raise ValueError(f"floor must be finite and >= 0, got {floor}")
     v = np.abs(_require_real(series))
     peak = float(v[_station_window(series, fraction * scales.t_revival)].max())
     return peak > 0.0 and peak >= floor * float(v.max())

@@ -240,16 +240,20 @@ def cmd_autocorr(cfg: RunConfig, model: SpectrumModel, table: WeightTable,
 
 
 def _observed(cfg: RunConfig, series, gamma_mev: float):
-    """Broaden one valley's current by gamma_mev, then apply the valley choice."""
-    series = damped(series, convert(gamma_mev, "meV", "J"))
+    """Broaden one valley's current by gamma_mev, then apply the valley choice.
+    At gamma_mev = 0 the envelope is 1 and the series is kept as it is."""
+    if gamma_mev:
+        series = damped(series, convert(gamma_mev, "meV", "J"))
     return total_current_both_valleys(series) if cfg.valleys == "both" else series
 
 
 def cmd_current(cfg: RunConfig, model: SpectrumModel, table: WeightTable,
                 grid: TimeGrid, out: str | None) -> None:
     jx, jy = (_observed(cfg, j, cfg.gamma_mev) for j in currents(table, model, grid))
-    scale = E_CHARGE * cfg.v_f if cfg.si_current else 1.0
-    columns = [convert(jx.grid.times, "s", "fs"), scale * jx.values, scale * jy.values]
+    values = [jx.values, jy.values]  # in units of e*v_F
+    if cfg.si_current:
+        values = [E_CHARGE * cfg.v_f * v for v in values]
+    columns = [convert(jx.grid.times, "s", "fs"), *values]
     _render(cfg, "current", ["t_fs", "jx_evf", "jy_evf"], columns, out=out)
 
 

@@ -168,13 +168,18 @@ def test_find_peaks_rejects_non_finite(analyse, bad):
 
 # the series of test_synthetic_two_frequency_full_revival in units of T_r,
 # whose T_r station is full at t_revival = 1.0: a NaN threshold, a NaN or
-# non-positive t_revival would otherwise leave no peak and no station
+# non-positive t_revival would otherwise leave no peak and no station, and a
+# NaN, infinite or negative visibility floor would answer False, False and True
 @pytest.mark.parametrize("analyse, message", [
     pytest.param(lambda s: find_peaks(s, math.nan), "min_prominence must be a number",
                  id="find_peaks-nan"),
     *(pytest.param(lambda s, t_r=t_r: detect_revivals(s, TimeScales(t_r / 4, t_r, t_r / 16)),
                    "t_revival must be finite and > 0", id=f"detect_revivals-{t_r}")
       for t_r in (math.nan, math.inf, 0.0, -1.0)),
+    *(pytest.param(lambda s, floor=floor: station_visible_log(
+        s, TimeScales(0.25, 1.0, 1.0 / 16), floor=floor),
+                   "floor must be finite and >= 0", id=f"station_visible_log-{floor}")
+      for floor in (math.nan, math.inf, -1.0)),
 ])
 def test_analysis_rejects_non_finite_thresholds(analyse, message):
     t = np.linspace(0.0, 1.5, 3001)

@@ -211,22 +211,40 @@ def test_cells_match_scalar_definition(tmp_path, monkeypatch, argv):
         assert run_cli(*argv, "--samples", "300", "--out", str(out)) == 0
         written.add(out.read_bytes())
     assert len(written) == 1
+    got = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+    assert len(got) == 300
+    assert got == _data_lines_by_value(out)
+
+
+@pytest.mark.parametrize("command", ["autocorr", "current"])
+def test_cells_match_scalar_definition_at_the_block_size(tmp_path, command):
+    # at the writer's own block size, 20000 rows are nine full blocks through
+    # the one reused slab and a ragged tenth, and every cell is still the
+    # per-value definition
+    samples = 20000
+    assert samples // cli._BLOCK_ROWS == 9 and samples % cli._BLOCK_ROWS
+    out = tmp_path / "s.csv"
+    assert run_cli(command, "--samples", str(samples), "--out", str(out)) == 0
+    got = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+    assert len(got) == samples
+    assert got == _data_lines_by_value(out)
+
+
+def _data_lines_by_value(out):
+    """The data lines of a written autocorr or current CSV, built from its
+    config echo one value at a time."""
     command, cfg = config_from_output(str(out))
     model, grid = SpectrumModel(cfg.field_params()), cfg.time_grid()
     table = build_weights(cfg.packet_spec())
     t_fs = convert(grid.times, "s", "fs")
     if command == "autocorr":
-        want = autocorr_lines_by_value(t_fs, autocorrelation(table, model, grid).values)
-    else:
-        jx, jy = (damped(j, convert(cfg.gamma_mev, "meV", "J"))
-                  for j in currents(table, model, grid))
-        if cfg.valleys == "both":
-            jx, jy = total_current_both_valleys(jx), total_current_both_valleys(jy)
-        scale = E_CHARGE * cfg.v_f if cfg.si_current else 1.0
-        want = current_lines_by_value(t_fs, jx.values, jy.values, scale)
-    got = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
-    assert len(got) == 300
-    assert got == want
+        return autocorr_lines_by_value(t_fs, autocorrelation(table, model, grid).values)
+    jx, jy = (damped(j, convert(cfg.gamma_mev, "meV", "J"))
+              for j in currents(table, model, grid))
+    if cfg.valleys == "both":
+        jx, jy = total_current_both_valleys(jx), total_current_both_valleys(jy)
+    scale = E_CHARGE * cfg.v_f if cfg.si_current else 1.0
+    return current_lines_by_value(t_fs, jx.values, jy.values, scale)
 
 
 @pytest.mark.parametrize("argv", [
