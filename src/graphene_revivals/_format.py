@@ -209,8 +209,8 @@ class CsvCells:
                 .view("<u8").reshape(n, 4))
 
     def _scale(self, a, head, tail, e, p, q, f, tens):
-        """p + q = a * 10^(16 - e) with the error bound above, for the decade
-        e = (decade index in e) - _E_OFF."""
+        """p + q = a * 10^(16 - decade) with the error bound above; the array e
+        holds decade + _E_OFF."""
         lo, hi = int(e.min()), int(e.max()) + 1
         have = self._ten_range
         if lo < have.start or hi > have.stop:

@@ -164,8 +164,8 @@ def config_from_output(path: str) -> tuple[str, RunConfig]:
     return command, RunConfig(**parse_config_lines(kv_lines, source=path))
 
 
-# CSV rows formatted and written at once. The formatter's buffers take 120
-# bytes per cell, about 1 MiB at four columns; larger blocks ran no faster
+# CSV rows formatted and written at once. The formatter's buffers take 104
+# bytes per cell, about 0.8 MiB at four columns; larger blocks ran no faster
 # and raised the peak RSS of a default run.
 _BLOCK_ROWS = 1 << 11
 
