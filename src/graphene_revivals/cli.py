@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import math
 import numbers
 import sys
@@ -345,5 +346,16 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The process entry point (console script and -m): exit with main's code.
+    gc.freeze() first moves every object left by the imports and the run out
+    of the collector's reach, so the interpreter's shutdown collections skip
+    them; reference counting still frees them as the modules are cleared.
+    main() itself leaves the collector as it was."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -221,6 +221,20 @@ def test_zero_series_has_only_absent_stations():
     assert all(st.peak is None for st in report.stations)
 
 
+def test_station_window_is_five_percent_of_the_station_time():
+    # bumps of 0.8 of the t = 0 value at 25, 5.5% after the station at 50,
+    # 4.5% after the one at 75, and at 100: a window of +-5% reaches the
+    # third but not the second, one of +-4% or +-6% would classify both alike
+    scales = TimeScales(t_classical=1.0, t_revival=100.0, t_zitterbewegung=0.1)
+    grid = TimeGrid(0.0, 110.0, 11001)
+    t = grid.times
+    v = np.exp(-(t / 0.2) ** 2)
+    for centre in (25.0, 1.055 * 50.0, 1.045 * 75.0, 100.0):
+        v += 0.8 * np.exp(-((t - centre) / 0.2) ** 2)
+    report = detect_revivals(ObservableSeries(grid=grid, values=v), scales)
+    assert [st.classification for st in report.stations] == ["full", "absent", "full", "full"]
+
+
 def test_revival_stations_for_localized_packet(revival_series):
     series, ts = revival_series
     report = detect_revivals(series, ts)

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -473,6 +474,37 @@ def test_runtime_error_exits_2(tmp_path):
     # grid far too short for revival classification
     assert run_cli("gamma-scan", "--t-end-fs", "100", "--samples", "64",
                    "--out", str(tmp_path / "x.csv")) == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("timescales",), 0),
+    (("autocorr", "--samples", "300"), 0),
+    (("autocorr", "--samples", "1"), 1),
+    (("gamma-scan", "--t-end-fs", "100", "--samples", "64"), 2),
+])
+def test_module_run_exits_with_mains_code_and_frozen_objects(tmp_path, capsys, argv, code):
+    # `python -m graphene_revivals.cli` writes what main() writes in-process and
+    # exits with its code, after gc.freeze() has put the objects left by the run
+    # out of the shutdown collections' reach; main() itself freezes nothing
+    frozen = gc.get_freeze_count()
+    here = tmp_path / "here.csv"
+    assert main([*argv, "--out", str(here)]) == code
+    assert gc.get_freeze_count() == frozen
+    there = tmp_path / "there.csv"
+    done = run_python(
+        "-c", "import gc, runpy\n"
+              "try:\n"
+              "    runpy.run_module('graphene_revivals.cli', run_name='__main__')\n"
+              "except SystemExit as stop:\n"
+              "    print(stop.code, gc.get_freeze_count())",
+        *argv, "--out", str(there))
+    exit_code, frozen_there = map(int, done.stdout.split())
+    assert exit_code == code
+    assert frozen_there > 0
+    assert done.stderr == capsys.readouterr().err
+    assert there.exists() == here.exists()
+    if code == 0:
+        assert there.read_bytes() == here.read_bytes()
 
 
 def test_gamma_scan_zero_range(tmp_path):

@@ -38,3 +38,17 @@ def test_cells_are_the_percent_format(values, cols):
         want = "".join(",".join("%.17g" % v for v in row) + "\n"
                        for row in zip(*(c.tolist() for c in columns)))
         assert cells(columns) == want
+
+
+def test_zero_cells_build_no_powers_of_ten(monkeypatch):
+    # 0.0 and -0.0 take the zero layout, so only the decades of the other
+    # cells, 1 to 1e4, need their powers of ten (10^(16 - e) for e in 0-4)
+    from graphene_revivals import _format
+    built = []
+    ten_to = _format._ten_to
+    monkeypatch.setattr(_format, "_ten_to", lambda s: built.append(s) or ten_to(s))
+    column = np.array([0.0, -0.0, 1.0, 2.5, 37.0, 123.456, 9999.0, 1e4, -0.0, 0.0])
+    columns = [column, column[::-1].copy()]
+    want = "".join(f"{'%.17g' % x},{'%.17g' % y}\n" for x, y in zip(*columns))
+    assert CsvCells()(columns) == want
+    assert sorted(built) == [12, 13, 14, 15, 16]
