@@ -157,8 +157,8 @@ class CsvCells:
         np.fmin(a, _HIGHEST, out=a)
         np.equal(a, tail, out=exact)  # false for nan, inf and |x| outside the range
         if zero.any():
-            # a zero takes the zero layout in any decade; at 1e-250 it would make
-            # the block build every power of ten from there to its other cells'
+            # a zero takes the zero layout in any decade; scaled as 1e-250 it would
+            # make the block build every power of ten from there up to its other cells'
             np.copyto(a, a.max(), where=zero)
         np.multiply(a, _SPLIT, out=head)
         np.subtract(head, a, out=tail)

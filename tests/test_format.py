@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphene_revivals import _format
 from graphene_revivals._format import CsvCells
 
 
@@ -43,7 +44,6 @@ def test_cells_are_the_percent_format(values, cols):
 def test_zero_cells_build_no_powers_of_ten(monkeypatch):
     # 0.0 and -0.0 take the zero layout, so only the decades of the other
     # cells, 1 to 1e4, need their powers of ten (10^(16 - e) for e in 0-4)
-    from graphene_revivals import _format
     built = []
     ten_to = _format._ten_to
     monkeypatch.setattr(_format, "_ten_to", lambda s: built.append(s) or ten_to(s))
