@@ -1,6 +1,7 @@
 """CSV rows of '%.17g' cells from float64 blocks, formatted by numpy.
 
-CsvCells turns a block of columns into the exact text of
+csv_blocks writes a table block by block through one CsvCells, which turns
+a block of columns into the exact text of
 ",".join("%.17g" % v for v in row) + "\\n" for every row, with no Python
 work per cell except for the few cells its error bound cannot decide.
 
@@ -28,7 +29,9 @@ to the same 10^16, in the one below; P next to 10^17 likewise. The decade
 starts at floor(log10|x|), and a cell still moving after two corrections is
 undecided. Undecided cells, non-finite values and |x| outside
 [1e-250, 1e250] (where the split or the powers of ten could underflow) are
-formatted by '%.17g' itself. A zero is "0" or "-0" from its sign bit.
+formatted by '%.17g' itself, zeros as "0" or "-0" from the sign bit. Zeros,
+non-finite values and |x| outside the range are scaled as the block's largest
+magnitude in it, so they need no power of ten of their own.
 
 Layout. The 'g' rules with 17 digits: fixed notation for -4 <= e < 17,
 otherwise d.ddde+XX with at least two exponent digits; trailing zeros and a
@@ -110,35 +113,47 @@ def _layout(key: int) -> bytes:
     return bytes(const + mask1 + mask2)
 
 
+# CSV rows formatted at once. A CsvCells takes 104 bytes per cell, about
+# 0.8 MiB at four columns; larger blocks ran no faster and raised the peak
+# RSS of a default run.
+_BLOCK_ROWS = 1 << 11
+
+
+def csv_blocks(columns):
+    """The CSV rows of equal-length float64 columns, _BLOCK_ROWS rows at a time."""
+    rows = len(columns[0])
+    cells = CsvCells(min(rows, _BLOCK_ROWS) * len(columns))
+    for i in range(0, rows, _BLOCK_ROWS):
+        yield cells([c[i:i + _BLOCK_ROWS] for c in columns])
+
+
 class CsvCells:
     """Formats blocks of float64 columns, block after block.
 
-    All working arrays are views of one slab of 13 words per cell, sized by
-    the first block, grown only by a larger one and reused by every block;
-    arrays never alive together share words. Plain numpy expressions ran as
-    fast warm but slower cold: glibc trims their freed per-block temporaries
-    and the next block faults them back in (17,728 minor faults against 362
-    in a cold `current --samples 100000`). Each pass runs over whole rows of
-    the slab, or gathers whole 32-byte table rows: numpy loops over a short
-    inner axis, or a per-element lookup, cost several times as much per cell.
-    The powers of ten and the layouts are built as blocks first need them.
+    All working arrays are views of one slab of 13 words per cell, sized for
+    the largest block and reused by every block; arrays never alive together
+    share words. Plain numpy expressions ran as fast warm but slower cold:
+    glibc trims their freed per-block temporaries and the next block faults
+    them back in (17,728 minor faults against 362 in a cold `current --samples
+    100000`). Each pass runs over whole rows of the slab, or gathers whole
+    32-byte table rows: numpy loops over a short inner axis, or a per-element
+    lookup, cost several times as much per cell. The powers of ten and the
+    layouts are built and flagged as blocks first need them.
     """
 
-    def __init__(self):
-        self._slab = np.empty((13, 0), "<u8")
+    def __init__(self, cells: int):
+        self._slab = np.empty((13, cells), "<u8")
         self._tens = np.empty((_DECADES, 4))  # _ten_to(16 - e) at decade index e + _E_OFF
-        self._ten_range = range(0)  # the decade indices filled so far
+        self._have_ten = np.zeros(_DECADES, bool)
         self._layouts = np.zeros((3, _DECADES * 17 * 4, _WIDTH // 8), "<u8")
         self._have_layout = np.zeros(_DECADES * 17 * 4, bool)
 
     def __call__(self, columns) -> str:
-        """The CSV rows of equal-length float64 columns."""
+        """The CSV rows of equal-length float64 columns, at most `cells` cells."""
         cols = len(columns)
         n = len(columns[0]) * cols
         if n == 0:
             return ""
-        if n > self._slab.shape[1]:
-            self._slab = np.empty((13, n), "<u8")
         slab = self._slab[:, :n]
         # slab rows: 0 the decade index e, later the layout key | 1 flags
         # | 2-4 x, then a, head, tail | 5-8 p, q, f, g | 9-12 each cell's powers
@@ -151,15 +166,12 @@ class CsvCells:
         np.stack(columns, axis=1, out=a.reshape(-1, cols))
         np.signbit(a, out=sign)
         np.equal(np.abs(a, out=tail), 0.0, out=zero)
-        # |x| clamped into the range, nan to its low end: a harmless operand for
-        # a cell that is redone below
+        # |x| clamped into the range, nan to its low end
         np.fmax(tail, _LOWEST, out=a)
         np.fmin(a, _HIGHEST, out=a)
-        np.equal(a, tail, out=exact)  # false for nan, inf and |x| outside the range
-        if zero.any():
-            # a zero takes the zero layout in any decade; scaled as 1e-250 it would
-            # make the block build every power of ten from there up to its other cells'
-            np.copyto(a, a.max(), where=zero)
+        np.equal(a, tail, out=exact)  # false for 0, nan, inf and |x| outside the range
+        if not exact.all():  # scaled in a decade the block needs (see above)
+            np.copyto(a, a.max(initial=_LOWEST, where=exact), where=~exact)
         np.multiply(a, _SPLIT, out=head)
         np.subtract(head, a, out=tail)
         np.subtract(head, tail, out=head)
@@ -215,15 +227,12 @@ class CsvCells:
     def _scale(self, a, head, tail, e, p, q, f, tens):
         """p + q = a * 10^(16 - decade) with the error bound above; the array e
         holds decade + _E_OFF."""
-        lo, hi = int(e.min()), int(e.max()) + 1
-        have = self._ten_range
-        if lo < have.start or hi > have.stop:
-            if have:
-                lo, hi = min(lo, have.start), max(hi, have.stop)
-            for index in range(lo, hi):
-                if index not in have:
-                    self._tens[index] = _ten_to(16 + _E_OFF - index)
-            self._ten_range = range(lo, hi)
+        lo = int(e.min())
+        have = self._have_ten[lo:int(e.max()) + 1]
+        if not have.all():
+            for index in (np.flatnonzero(~have) + lo).tolist():
+                self._tens[index] = _ten_to(16 + _E_OFF - index)
+            have[:] = True
         np.take(self._tens, e, axis=0, out=tens, mode="clip")
         big, big_head, big_tail, low = tens.T
         np.multiply(a, big, out=p)
@@ -276,7 +285,7 @@ class CsvCells:
         if not have.all():
             for key in set(keys[~have].tolist()):
                 self._layouts[:, key] = np.frombuffer(_layout(key), "<u8").reshape(3, -1)
-                self._have_layout[key] = True
+            self._have_layout[keys] = True
         rows, digits, spare = self._quad(1, n), self._quad(5, n), self._quad(9, n)
         const, mask1, mask2 = self._layouts
         np.take(mask1, keys, axis=0, out=rows, mode="clip")  # keys are in range

@@ -165,25 +165,17 @@ def config_from_output(path: str) -> tuple[str, RunConfig]:
     return command, RunConfig(**parse_config_lines(kv_lines, source=path))
 
 
-# CSV rows formatted and written at once. The formatter's buffers take 104
-# bytes per cell, about 0.8 MiB at four columns; larger blocks ran no faster
-# and raised the peak RSS of a default run.
-_BLOCK_ROWS = 1 << 11
-
-
 def _render(cfg: RunConfig, command: str, header: list[str], columns: list,
             trailer=(), out: str | None = None) -> None:
     """Config echo, a table and trailer lines as CSV or JSON, to out or stdout.
 
     A column is a float64 array or a short sequence of float and str cells.
     CSV writes strings as they are and every number with the bytes of
-    '%.17g'. A table of arrays goes _BLOCK_ROWS rows at a time through one
-    numpy formatter (_format.CsvCells, where its error bound and fallback
-    rule are stated) and buffers that every block reuses, so the writer
-    holds one block of text; the number cells of a short table are written
-    '%.17g' % v. JSON holds the rows and streams their text. Each branch
-    imports json or _format itself, so a cold start that takes the other
-    branches does not load them.
+    '%.17g': a table of arrays block by block from _format.csv_blocks, so
+    the writer holds one block of text, and the number cells of a short
+    table as '%.17g' % v. JSON holds the rows and streams their text. Each
+    branch imports json or _format itself, so a cold start that takes the
+    other branches does not load them.
     """
     config = asdict(cfg)
     with (contextlib.nullcontext(sys.stdout) if out is None
@@ -203,11 +195,9 @@ def _render(cfg: RunConfig, command: str, header: list[str], columns: list,
         fh.writelines(f"# {k} = {_format_value(v)}\n" for k, v in config.items())
         fh.write(",".join(header) + "\n")
         if all(isinstance(c, np.ndarray) for c in columns):
-            from ._format import CsvCells
+            from ._format import csv_blocks
 
-            cells = CsvCells()
-            for i in range(0, len(columns[0]), _BLOCK_ROWS):
-                fh.write(cells([c[i:i + _BLOCK_ROWS] for c in columns]))
+            fh.writelines(csv_blocks(columns))
         else:
             fh.writelines(",".join(v if isinstance(v, str) else "%.17g" % v for v in row)
                           + "\n" for row in zip(*columns))

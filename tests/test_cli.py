@@ -23,7 +23,7 @@ from graphene_revivals import (E_CHARGE, BroadeningModel, FieldParams,
                                currents, damped, eigenspinor, hermite_function,
                                observables, timescales,
                                total_current_both_valleys)
-from graphene_revivals import cli
+from graphene_revivals import _format, cli
 from graphene_revivals.cli import (RunConfig, build_parser, config_from_output,
                                    main, parse_config_lines, resolve_config)
 
@@ -208,7 +208,7 @@ def test_cells_match_scalar_definition(tmp_path, monkeypatch, argv):
     out = tmp_path / "s.csv"
     written = set()
     for block_rows in (1, 7, 300):
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(_format, "_BLOCK_ROWS", block_rows)
         assert run_cli(*argv, "--samples", "300", "--out", str(out)) == 0
         written.add(out.read_bytes())
     assert len(written) == 1
@@ -223,7 +223,7 @@ def test_cells_match_scalar_definition_at_the_block_size(tmp_path, command):
     # the one reused slab and a ragged tenth, and every cell is still the
     # per-value definition
     samples = 20000
-    assert samples // cli._BLOCK_ROWS == 9 and samples % cli._BLOCK_ROWS
+    assert samples // _format._BLOCK_ROWS == 9 and samples % _format._BLOCK_ROWS
     out = tmp_path / "s.csv"
     assert run_cli(command, "--samples", str(samples), "--out", str(out)) == 0
     got = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
@@ -302,7 +302,7 @@ def test_csv_writer_holds_one_block(tmp_path, monkeypatch):
     # the CSV writer keeps one block of rows alive, not the whole table: its
     # traced peak must not grow with the row count (10x the rows would add
     # about 11 MB if it held the table; small blocks keep the test short)
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
+    monkeypatch.setattr(_format, "_BLOCK_ROWS", 1024)
     rng = np.random.default_rng(7)
     peaks = []
     for n in (4_000, 40_000):
