@@ -232,7 +232,7 @@ class CsvCells:
         if not have.all():
             for index in (np.flatnonzero(~have) + lo).tolist():
                 self._tens[index] = _ten_to(16 + _E_OFF - index)
-            have[:] = True
+                self._have_ten[index] = True
         np.take(self._tens, e, axis=0, out=tens, mode="clip")
         big, big_head, big_tail, low = tens.T
         np.multiply(a, big, out=p)
@@ -285,7 +285,7 @@ class CsvCells:
         if not have.all():
             for key in set(keys[~have].tolist()):
                 self._layouts[:, key] = np.frombuffer(_layout(key), "<u8").reshape(3, -1)
-            self._have_layout[keys] = True
+                self._have_layout[key] = True
         rows, digits, spare = self._quad(1, n), self._quad(5, n), self._quad(9, n)
         const, mask1, mask2 = self._layouts
         np.take(mask1, keys, axis=0, out=rows, mode="clip")  # keys are in range
