@@ -187,28 +187,42 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
 # hermite_sweep(n, xi) evaluates h_m(xi) = exp(-xi^2/2) H_m(xi) / C_m,
 # C_m = sqrt(2^m m! sqrt(pi)), for m = n-1 and m = n.
 #
-# The three-term recurrence runs on the normalized polynomial part
-# p_m = H_m / C_m,
+# The normalized polynomial part p_m = H_m / C_m obeys the three-term
+# recurrence
 #
 #   p_m = xi*sqrt(2/m)*p_{m-1} - sqrt((m-1)/m)*p_{m-2},
 #
-# and the Gaussian is attached at the end in log space. Seeding the
-# recurrence with exp(-xi^2/2) directly would underflow to garbage for
-# |xi| beyond ~38 and get amplified near the turning point; p_m is the
-# dominant solution there, so the forward sweep is stable, and a carried
-# base-2 exponent keeps it in range when p_m ~ exp(+xi^2/2) grows past
-# double precision. The results stay bounded (|h_m| < 0.82 for every m).
+# and the sweep runs it rescaled, on y_m = p_m / r_m with r_0 = r_1 = 1 and
+# r_m = sqrt((m-1)/m) * r_{m-2} for m >= 2 (so r_m^2 = (m-1)!!/m!!), two
+# running Python floats, one per parity. The coefficient of y_{m-2} is then
+# exactly 1:
+#
+#   y_m = (xi*c_m)*y_{m-1} - y_{m-2},   c_m = sqrt(2/m) * r_{m-1} / r_m,
+#
+# three array passes per order (xi times c_m, times y_{m-1}, minus y_{m-2})
+# where the p form takes four. At the end p_{n-1} = y_{n-1} r_{n-1} and
+# p_n = y_n r_n. Unlike the monic H_m / 2^m, y does not grow factorially:
+# 1/r_m lies between (2m/pi)^(1/4) and (2(m+1))^(1/4), so y stays within a
+# factor of order m^(1/4) of p (11.2 at m = 10^4).
+#
+# The Gaussian is attached at the end in log space. Seeding the recurrence
+# with exp(-xi^2/2) directly would underflow to garbage for |xi| beyond ~38
+# and get amplified near the turning point; p_m is the dominant solution
+# there, so the forward sweep is stable, and a carried base-2 exponent keeps
+# y in range when p_m ~ exp(+xi^2/2) grows past double precision. The
+# results stay bounded (|h_m| < 0.82 for every m).
 #
 # xi is swept once per distinct |xi|, in ascending order (a scalar as a
 # 1-element array). The functions have a parity, h_m(-xi) = (-1)^m h_m(xi),
 # and it holds bit for bit: IEEE rounding is symmetric, so negating xi
-# negates every product of the step that holds it. A subtraction x - y that
-# cancels to zero gives +0 for either sign of x and y, so at xi < 0 the odd
-# order is flipped as 0.0 - p, which keeps such a zero +0. At xi = -0.0
-# every term of an odd order is itself a signed zero, and there the flip is
-# a plain negation. h_{-1} (n = 0) is +0 at every xi. p is flipped before
-# the Gaussian multiplies it, so an h that underflows to zero keeps the
-# recurrence's sign.
+# negates xi*c_m and the product with y_{m-1} that holds it, and c_m and r_m
+# do not depend on xi. A subtraction x - y that cancels to zero gives +0 for
+# either sign of x and y, and the multiply by r_m > 0 keeps that +0, so at
+# xi < 0 the odd order is flipped as 0.0 - p, which keeps such a zero +0. At
+# xi = -0.0 every term of an odd order is itself a signed zero, and there
+# the flip is a plain negation. h_{-1} (n = 0) is +0 at every xi. p is
+# flipped before the Gaussian multiplies it, so an h that underflows to zero
+# keeps the recurrence's sign.
 #
 # |xi| is clamped at 2*sqrt(n) + 40 before the sweep, so far points collapse
 # into one swept value and no square or product in the sweep overflows.
@@ -220,40 +234,42 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
 
 _RESCALE_LIMIT = 2.0 ** 500
 _RESCALE_FACTOR = 2.0 ** -500
-# a step grows |p| by at most |xi|*sqrt(2/m) + 1 <= sqrt(2)*(2*sqrt(n) + 40) + 1,
-# below 2^31 for n < 5e17, so 16 steps from at most 2^524 stay finite
+# a step grows |y| by at most |xi|*c_m + 1 <= sqrt(2)*(2*sqrt(n) + 40) + 1, as
+# c_m <= sqrt(2), the bound of the p form; below 2^31 for n < 5e17, so 16 steps
+# from at most 2^524 stay finite
 _RESCALE_STRIDE = 16
 _LN2 = float(np.log(2.0))
 
 
 def _sweep(n: int, x):
     """(p_{n-1}(x), p_n(x), Gaussian with the carried exponent) on a 1-D x."""
-    p_prev = np.zeros_like(x)  # p_{-1} == 0
-    p = np.full_like(x, np.pi ** -0.25)  # p_0
+    y_prev = np.zeros_like(x)  # y_{-1} == 0
+    y = np.full_like(x, np.pi ** -0.25)  # y_0 = p_0
     expo = np.zeros_like(x)  # carried base-2 exponent
-    # each step writes p_m over p_{m-2} through one spare buffer, in the
+    r_prev, r = 1.0, 1.0  # r_{m-2}, r_{m-1}; r_{-1} only scales y_{-1} == 0
+    # each step writes y_m over y_{m-2} through one spare buffer, in the
     # operation order of the formula above
     spare = np.empty_like(x)
-    # the step's two factors as 0-d float64 operands, which a ufunc takes
-    # without converting a Python float on every call; the products are the same
-    grow, shrink = np.empty(()), np.empty(())
+    # c_m as a 0-d float64 operand, which a ufunc takes without converting a
+    # Python float on every call; the products are the same
+    coeff = np.empty(())
     for m in range(1, n + 1):
-        grow[()] = math.sqrt(2.0 / m)
-        shrink[()] = math.sqrt((m - 1.0) / m)
-        p_next = np.multiply(x, grow, spare)
-        p_next *= p
-        p_prev *= shrink
-        p_next -= p_prev
-        p_prev, p, spare = p, p_next, p_prev
+        r_prev, r = r, math.sqrt((m - 1.0) / m) * r_prev if m > 1 else 1.0
+        coeff[()] = math.sqrt(2.0 / m) * r_prev / r
+        y_next = np.multiply(x, coeff, spare)
+        y_next *= y
+        y_next -= y_prev
+        y_prev, y, spare = y, y_next, y_prev
         if m % _RESCALE_STRIDE == 0:
-            size = np.abs(p, spare)  # spare is free until the next step
+            size = np.abs(y, spare)  # spare is free until the next step
             if np.maximum.reduce(size, initial=0.0) > _RESCALE_LIMIT:
                 # powers of two rescale exactly; the timing is irrelevant
                 big = size > _RESCALE_LIMIT
-                p = np.where(big, p * _RESCALE_FACTOR, p)
-                p_prev = np.where(big, p_prev * _RESCALE_FACTOR, p_prev)
+                y = np.where(big, y * _RESCALE_FACTOR, y)
+                y_prev = np.where(big, y_prev * _RESCALE_FACTOR, y_prev)
                 expo = np.where(big, expo + 500.0, expo)
-    return p_prev, p, np.exp(expo * _LN2 - 0.5 * x * x)
+    return (np.multiply(y_prev, r_prev, y_prev), np.multiply(y, r, y),
+            np.exp(expo * _LN2 - 0.5 * x * x))
 
 
 def hermite_sweep(n: int, xi):
@@ -263,7 +279,7 @@ def hermite_sweep(n: int, xi):
     ValueError for an order that is not a non-negative integer, or a
     non-finite xi.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 0):
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0):
         raise ValueError(f"order must be a non-negative integer, got {n}")
     xi = np.asarray(xi, dtype=np.float64)[()]
     if not np.isfinite(xi).all():

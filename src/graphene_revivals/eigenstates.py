@@ -4,9 +4,11 @@ The dimensionless transverse profile of level n is
 
     h_n(xi) = exp(-xi^2/2) H_n(xi) / C_n,   C_n = sqrt(2^n n! sqrt(pi)),
 
-evaluated through the normalized three-term recurrence (never through the
-raw polynomials, which overflow near n ~ 150). Callers needing a physical
-density attach the 1/sqrt(L) factor themselves.
+evaluated through the normalized three-term recurrence, run rescaled so
+that the coefficient of its oldest term is 1 (never through the raw
+polynomials, which overflow near n ~ 150; see the Hermite comment in
+_kernels). Callers needing a physical density attach the 1/sqrt(L) factor
+themselves.
 
 Spinor component patterns at the two inequivalent valleys, with h_{-1} == 0:
 

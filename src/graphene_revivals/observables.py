@@ -9,7 +9,10 @@ levels, with phases E*t/hbar (:func:`_terms` is their one code form):
     j_y(t) =     sum_n U_{n-1,n} { sin[(E_n + E_{n-1}) t / hbar]
                                  + sin[(E_n - E_{n-1}) t / hbar] }  (two bands)
 
-with j_x identically zero in the two-band case. Level broadening with a
+with j_x identically zero in the two-band case. In a one-band current the
+0 -> 1 term weighs sqrt(2) U_{0,1}: the n = 0 state has one spinor component,
+where each n >= 1 state splits its norm over two (exact without a gap; the
+gap's mixing factors are not applied). Level broadening with a
 level-independent width Gamma multiplies every current term by
 exp(-2*Gamma*t/hbar), which commutes with the sum and is applied as a global
 envelope to the finished series (:func:`damped`). The current sums run over
@@ -90,7 +93,11 @@ def _terms(table: WeightTable, model: SpectrumModel, current: bool):
         return table.diag, om, ((1, -s) if s else (2.0, 0))
     d_om = om[1:] - om[:-1]
     if s:
-        return table.offdiag, d_om, (s, 1)
+        weights = table.offdiag
+        if table.n_min == 0:  # |0> has one spinor component, |n >= 1> two
+            weights = weights.copy()
+            weights[0] *= math.sqrt(2.0)
+        return weights, d_om, (s, 1)
     return np.tile(table.offdiag, 2), np.concatenate([om[1:] + om[:-1], d_om]), (0, 1)
 
 

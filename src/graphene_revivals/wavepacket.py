@@ -37,7 +37,8 @@ class PacketSpec:
     tail_tolerance: float = 1e-12
 
     def __post_init__(self):
-        if not (isinstance(self.n0, numbers.Integral) and 1 <= self.n0 <= 2 ** 52):
+        if not (isinstance(self.n0, numbers.Integral) and not isinstance(self.n0, bool)
+                and 1 <= self.n0 <= 2 ** 52):
             raise ValueError(f"central level n0 must be in [1, 2**52], got {self.n0}")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")

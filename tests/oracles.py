@@ -47,24 +47,30 @@ def hermite_sweep_by_allocation(n: int, xi):
     with one fresh array per operation.
 
     The same operations in the same order as _kernels.hermite_sweep (the
-    normalized three-term recurrence, a 2^-500 rescale of every point past
-    2^500 checked each 16 steps, and the Gaussian attached in log space at the
-    end), run at every point as given, negative and repeated ones included.
-    hermite_sweep, which sweeps each distinct |xi| once and takes the parity
-    (see the Hermite comment in _kernels), must agree with this byte for byte
-    wherever this stays finite; far out this overflows to nan.
+    rescaled recurrence y_m = (xi*c_m)*y_{m-1} - y_{m-2} on y_m = p_m / r_m,
+    with r_0 = r_1 = 1, r_m = sqrt((m-1)/m)*r_{m-2} and
+    c_m = sqrt(2/m)*r_{m-1}/r_m as Python floats; a 2^-500 rescale of every
+    point past 2^500 checked each 16 steps; p = y*r at the end and the
+    Gaussian attached in log space), run at every point as given, negative
+    and repeated ones included. hermite_sweep, which sweeps each distinct
+    |xi| once and takes the parity (see the Hermite comment in _kernels),
+    must agree with this byte for byte wherever this stays finite; far out
+    this overflows to nan.
     """
     xi = np.asarray(xi, dtype=np.float64)
-    p_prev, p, expo = np.zeros_like(xi), np.full_like(xi, np.pi ** -0.25), np.zeros_like(xi)
+    y_prev, y, expo = np.zeros_like(xi), np.full_like(xi, np.pi ** -0.25), np.zeros_like(xi)
+    r_prev, r = 1.0, 1.0
     for m in range(1, n + 1):
-        p_prev, p = p, xi * math.sqrt(2.0 / m) * p - math.sqrt((m - 1.0) / m) * p_prev
+        r_prev, r = r, (math.sqrt((m - 1.0) / m) * r_prev if m >= 2 else 1.0)
+        c = math.sqrt(2.0 / m) * r_prev / r
+        y_prev, y = y, xi * c * y - y_prev
         if m % 16 == 0:
-            big = np.abs(p) > 2.0 ** 500
-            p = np.where(big, p * 2.0 ** -500, p)
-            p_prev = np.where(big, p_prev * 2.0 ** -500, p_prev)
+            big = np.abs(y) > 2.0 ** 500
+            y = np.where(big, y * 2.0 ** -500, y)
+            y_prev = np.where(big, y_prev * 2.0 ** -500, y_prev)
             expo = np.where(big, expo + 500.0, expo)
     scale = np.exp(expo * math.log(2.0) - 0.5 * xi * xi)
-    return p_prev * scale, p * scale
+    return y_prev * r_prev * scale, y * r * scale
 
 
 def hermite_log_bound(n: int, x: float) -> float:
@@ -125,16 +131,40 @@ def dirac_autocorrelation(table, gap_ratio: float, omega_t):
     """A(t) = <psi(0)|exp(-i H t / hbar)|psi(0)> by evolving the truncated K1
     massive Dirac Hamiltonian; returns (A at each omega_t = Omega*t, ||H||_2).
 
+    The packet and its evolution are those of :func:`_dirac_evolution`.
+    """
+    psi0, psi_t, h_norm = _dirac_evolution(table, gap_ratio, omega_t)
+    return psi0 @ psi_t, h_norm
+
+
+def dirac_currents(table, gap_ratio: float, omega_t):
+    """(j_x, j_y) = -<psi(t)|(sigma_x, sigma_y)|psi(t)> of the K1 packet of
+    :func:`_dirac_evolution`, in units of e*v_F, at each omega_t = Omega*t.
+
+    The velocity of the Dirac Hamiltonian is v_F*sigma, so the current of a
+    charge -e is -e*v_F*<sigma>. With upper and lower the spinor components,
+    <sigma_x> = 2 Re(conj(upper) lower) and <sigma_y> = 2 Im(conj(upper) lower).
+    """
+    _, psi_t, _ = _dirac_evolution(table, gap_ratio, omega_t)
+    pairs = np.sum(np.conj(psi_t[1::2]) * psi_t[0::2], axis=0)
+    return -2.0 * pairs.real, -2.0 * pairs.imag
+
+
+def _dirac_evolution(table, gap_ratio: float, omega_t):
+    """(psi(0), psi(t) at each omega_t = Omega*t as columns, ||H||_2) of the
+    K1 packet under the truncated massive Dirac Hamiltonian.
+
     In units of hbar*Omega, H = -[[0, a], [a^dagger, 0]] + gap_ratio * sigma_z
     on the ladder basis |m>, m <= n_max + 10, with a|m> = sqrt(m)|m-1>. The
     basis interleaves lower |m> and upper |m>, so H is tridiagonal. Its
-    eigenvectors come from numpy.linalg.eigh; the packet is
-    sum_n c_n |n, s>, c_n = sqrt(U_nn), for each band s the table holds,
-    where |n, s> is the eigenvector supported on (upper |n-1>, lower |n>)
-    with an energy of sign s. The one n = 0 state (lower |0>) is taken by its
-    sector alone: its energy, -gap_ratio, is a signed zero without a gap and
-    names no band. No Landau-level formula and no series kernel is used: the
-    state is evolved as V exp(-i Lambda Omega t) V^T psi(0).
+    eigenvectors come from numpy.linalg.eigh, each signed so that its lower
+    |n> component is positive, as in eigenstates' K1 spinor (-s h_{n-1}, h_n);
+    the packet is sum_n c_n |n, s>, c_n = sqrt(U_nn), for each band s the
+    table holds, where |n, s> is the eigenvector supported on (upper |n-1>,
+    lower |n>) with an energy of sign s. The one n = 0 state (lower |0>) is
+    taken by its sector alone: its energy, -gap_ratio, is a signed zero
+    without a gap and names no band. No Landau-level formula and no series
+    kernel is used: the state is evolved as V exp(-i Lambda Omega t) V^T psi(0).
     """
     dim = table.n_max + 11
     h = np.zeros((2 * dim, 2 * dim))
@@ -146,6 +176,10 @@ def dirac_autocorrelation(table, gap_ratio: float, omega_t):
     sector_weight[1:] += vectors[1::2] ** 2
     sector_weight[:dim] += vectors[0::2] ** 2
     sectors = np.argmax(sector_weight, axis=0)
+    # the sector past the basis (n = dim, upper |dim-1> alone) has no lower
+    # |n>; it is in no packet, so its sign does not matter
+    lower = vectors[2 * np.minimum(sectors, dim - 1), np.arange(2 * dim)]
+    vectors = vectors * np.where(lower < 0.0, -1.0, 1.0)
     signs = {"positive": (1.0,), "negative": (-1.0,), "both": (1.0, -1.0)}[table.band_content]
     psi0 = np.zeros(2 * dim)
     for k, n in enumerate(sectors):
@@ -153,7 +187,7 @@ def dirac_autocorrelation(table, gap_ratio: float, omega_t):
             psi0 += math.sqrt(table.diag[n - table.n_min]) * vectors[:, k]
     phases = np.exp(-1j * np.multiply.outer(energies, np.asarray(omega_t)))
     psi_t = vectors @ (phases * (vectors.T @ psi0)[:, np.newaxis])
-    return psi0 @ psi_t, float(np.max(np.abs(energies)))
+    return psi0, psi_t, float(np.max(np.abs(energies)))
 
 
 def damped_direct_sum(weights, omegas, gamma, hbar, times, trig):

@@ -684,6 +684,7 @@ def test_non_finite_constructor_raises(make):
 
 @pytest.mark.parametrize("make", [
     lambda n: PacketSpec(n, 3.0),
+    lambda n: RunConfig(n0=n),
     lambda n: TimeGrid(0.0, 1e-12, n),
     lambda n: hermite_function(n, 0.3),
     lambda n: eigenspinor(n, +1, "K1", 0.3),
@@ -692,9 +693,10 @@ def test_non_finite_constructor_raises(make):
 ])
 def test_non_integer_count_raises(make):
     # a level index, a sample count, a Hermite order or a step count is
-    # checked where it enters, not where it first reaches a range or a slice
+    # checked where it enters, not where it first reaches a range or a slice;
+    # a bool is a numbers.Integral but no count
     make(np.int64(15))
-    for bad in (15.5, 15.0):
+    for bad in (15.5, 15.0, True, False):
         with pytest.raises(ValueError):
             make(bad)
 

@@ -70,9 +70,10 @@ _SIGNED_GRID = np.array([-0.0, 0.0, 1.5, 1.5, -1.5, -2.25, -0.3, 0.3, -7.0, 0.0,
         np.array([]),
     )),
     (200, np.linspace(-60.0, 60.0, 2001)),
-    # p_5 and p_7 cancel to +0 here, and to +0 at -xi too, not to -0
+    # the odd orders 5 (as h_n) and 7 (as h_{n-1}) cancel to +0 here, and to
+    # +0 at -xi too, not to -0
     (5, np.array([2.0201828704560856, -2.0201828704560856])),
-    (8, np.array([0.8162878828589646, -0.8162878828589646])),
+    (8, np.array([2.6519613568352334, -2.6519613568352334])),
     *((n, _straddling_clamp(n)) for n in (0, 1, 16, 17, 200, 10000)),
 ])
 def test_hermite_sweep_bits_match_the_allocating_recurrence(n, xi):

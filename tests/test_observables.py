@@ -15,7 +15,7 @@ from graphene_revivals.observables import _series, _terms, max_frequency
 from graphene_revivals.wavepacket import WeightTable
 
 from oracles import (brute_force_autocorr, brute_force_currents, damped_direct_sum,
-                     dirac_autocorrelation)
+                     dirac_autocorrelation, dirac_currents)
 
 
 @pytest.fixture(scope="module")
@@ -378,6 +378,23 @@ def test_gapped_autocorrelation_matches_hamiltonian_oracle(gap, spec):
     phi = h_norm * model.omega * grid.t_end
     bound = eps * (phi * (1.0 + 9 / 2) + 2 * (table.n_max + 11))
     assert np.max(np.abs(got - want)) <= bound
+
+
+@pytest.mark.parametrize("bands, s", [("positive", +1), ("negative", -1)])
+@pytest.mark.parametrize("n0, sigma", [(2, 3.0), (3, 2.0), (5, 2.0), (15, 3.0)])
+def test_one_band_current_matches_hamiltonian_oracle(n0, sigma, bands, s):
+    # j = -<sigma> of the evolved K1 state, without a gap. The first three
+    # packets reach n = 0, whose state has one spinor component, so the
+    # 0 <-> 1 term weighs sqrt(2) U_01; without that factor they are off by
+    # 6.0e-2, 6.4e-3 and 5.8e-6. (15, 3), levels 3-27, fixes the oracle's
+    # sign convention. Residuals measured 5.3e-15 to 7.8e-15.
+    model = _gapped_model("0")
+    table = build_weights(PacketSpec(n0, sigma, bands))
+    grid = TimeGrid(0.0, 60.0 / model.omega, 257)
+    got = current_single_band(table, model, grid, s)
+    want = dirac_currents(table, 0.0, model.omega * grid.times)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g.values - w)) <= 1e-13
 
 
 @pytest.mark.parametrize("gap", ["50meV", "E15"])
