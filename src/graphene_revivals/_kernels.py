@@ -276,8 +276,8 @@ def hermite_sweep(n: int, xi):
     """(h_{n-1}(xi), h_n(xi)) for the normalized Hermite-Gaussian functions.
 
     The output shape follows xi; a scalar xi gives float64 scalars. Raises
-    ValueError for an order that is not a non-negative integer, or a
-    non-finite xi.
+    ValueError for an order that is not a non-negative integer (a bool is
+    not one), or a non-finite xi.
     """
     if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0):
         raise ValueError(f"order must be a non-negative integer, got {n}")

@@ -684,12 +684,12 @@ def test_non_finite_constructor_raises(make):
 
 @pytest.mark.parametrize("make", [
     lambda n: PacketSpec(n, 3.0),
-    lambda n: RunConfig(n0=n),
     lambda n: TimeGrid(0.0, 1e-12, n),
     lambda n: hermite_function(n, 0.3),
     lambda n: eigenspinor(n, +1, "K1", 0.3),
     lambda n: RunConfig(gamma_steps=n),
     lambda n: RunConfig(samples=n),
+    lambda n: RunConfig(n0=n),
 ])
 def test_non_integer_count_raises(make):
     # a level index, a sample count, a Hermite order or a step count is

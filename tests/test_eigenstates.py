@@ -94,19 +94,6 @@ def test_stable_at_high_order():
     assert np.abs(values).max() <= 0.8
 
 
-def _oscillatory_turning_and_forbidden(n):
-    # 12 points over the oscillatory region, 9 across the turning point
-    # sqrt(2n + 1) on its n^(-1/6) scale, 9 spread geometrically over the
-    # forbidden region out to the clamp 2 sqrt(n) + 40; every other one negated
-    turning = math.sqrt(2 * n + 1)
-    edge = turning + 4.5 * n ** (-1 / 6)
-    xi = np.concatenate([np.linspace(0.03, 0.97, 12) * turning,
-                         turning + np.linspace(-4.0, 4.0, 9) * n ** (-1 / 6),
-                         edge + np.geomspace(0.05, 1.0, 9) * (2 * math.sqrt(n) + 40 - edge)])
-    xi[1::2] *= -1.0
-    return xi
-
-
 @pytest.mark.parametrize("n, four_pass_worst", [(200, 5.17e-15), (1000, 3.47e-14),
                                                 (10000, 1.84e-13)])
 def test_high_orders_against_mpmath(n, four_pass_worst):
@@ -117,7 +104,15 @@ def test_high_orders_against_mpmath(n, four_pass_worst):
     # rescaled recurrence measured 6.23e-15, 3.52e-14 and 1.75e-13.
     import mpmath as mp
 
-    xi = _oscillatory_turning_and_forbidden(n)
+    # 12 points over the oscillatory region, 9 across the turning point
+    # sqrt(2n + 1) on its n^(-1/6) scale, 9 spread geometrically over the
+    # forbidden region out to the clamp 2 sqrt(n) + 40; every other one negated
+    turning = math.sqrt(2 * n + 1)
+    edge = turning + 4.5 * n ** (-1 / 6)
+    xi = np.concatenate([np.linspace(0.03, 0.97, 12) * turning,
+                         turning + np.linspace(-4.0, 4.0, 9) * n ** (-1 / 6),
+                         edge + np.geomspace(0.05, 1.0, 9) * (2 * math.sqrt(n) + 40 - edge)])
+    xi[1::2] *= -1.0
     got = hermite_function(n, xi)
     with mp.workdps(50):
         c_n = mp.sqrt(mp.mpf(2) ** n * mp.factorial(n) * mp.sqrt(mp.pi))

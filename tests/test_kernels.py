@@ -55,6 +55,10 @@ def _straddling_clamp(n):
     return np.concatenate((np.linspace(-1.6 * clamp, 1.6 * clamp, 401), edge, -edge))
 
 
+# the recurrence cancels the odd order 5 (as h_n) and 7 (as h_{n-1}) to +0
+# at these points, found by search; the parity keeps +0 at -xi, not -0
+_CANCELLING = [(5, 2.0201828704560856), (8, 2.6519613568352334)]
+
 # -0.0 and 0.0, repeated values, and negative points without a mirror
 _SIGNED_GRID = np.array([-0.0, 0.0, 1.5, 1.5, -1.5, -2.25, -0.3, 0.3, -7.0, 0.0, -0.0, 4.0,
                          -5e-324, 1e-160, -1e-160])
@@ -70,10 +74,7 @@ _SIGNED_GRID = np.array([-0.0, 0.0, 1.5, 1.5, -1.5, -2.25, -0.3, 0.3, -7.0, 0.0,
         np.array([]),
     )),
     (200, np.linspace(-60.0, 60.0, 2001)),
-    # the odd orders 5 (as h_n) and 7 (as h_{n-1}) cancel to +0 here, and to
-    # +0 at -xi too, not to -0
-    (5, np.array([2.0201828704560856, -2.0201828704560856])),
-    (8, np.array([2.6519613568352334, -2.6519613568352334])),
+    *((n, np.array([x, -x])) for n, x in _CANCELLING),
     *((n, _straddling_clamp(n)) for n in (0, 1, 16, 17, 200, 10000)),
 ])
 def test_hermite_sweep_bits_match_the_allocating_recurrence(n, xi):
@@ -84,6 +85,13 @@ def test_hermite_sweep_bits_match_the_allocating_recurrence(n, xi):
     for got, expected in zip(_kernels.hermite_sweep(n, xi), hermite_sweep_by_allocation(n, xi)):
         assert np.shape(got) == np.shape(xi)
         assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n, x", _CANCELLING)
+def test_hermite_sweep_cancellation_points_give_plus_zero(n, x):
+    # the bits test above pins the +0 rule only where an order still cancels
+    h_prev, h = _kernels.hermite_sweep(n, np.array([x, -x]))
+    assert (h if n % 2 else h_prev).tobytes() == np.zeros(2).tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 40, 10000])
