@@ -48,9 +48,9 @@ def _flag(default, help_text: str, choices: tuple[str, ...] | None = None):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters (flag vocabulary, CLI units). A _flag
-    field holds its flag's help text and allowed values for build_parser and
-    the checks below; v_f and gamma_steps are config-file keys only."""
+    """Fully resolved run parameters (flag vocabulary, CLI units). A _flag field
+    holds its flag's help text and allowed values; v_f and gamma_steps are config-file
+    keys only. The records it builds (PacketSpec, FieldParams, TimeGrid) check the rest."""
 
     B: float = _flag(10.0, "magnetic field [T]")
     v_f: float = FERMI_VELOCITY_DEFAULT  # m/s
@@ -72,9 +72,7 @@ class RunConfig:
             if allowed and value not in allowed:
                 raise ValueError(f"{f.name} must be {', '.join(allowed[:-1])} or "
                                  f"{allowed[-1]}, got {value!r}")
-        if not (isinstance(self.samples, numbers.Integral) and self.samples >= 2):
-            raise ValueError(f"samples must be >= 2, got {self.samples}")
-        for name in ("gamma_mev", "gap_mev", "t_end_fs"):
+        for name in ("gamma_mev", "t_end_fs"):  # t_end_fs = 0: the default end
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
@@ -82,6 +80,8 @@ class RunConfig:
             raise ValueError("gamma_steps must be >= 2 to scan both ends of "
                              f"[0, gamma_mev], got {self.gamma_steps}")
         self.packet_spec()  # rejects n0 and sigma before any period is computed
+        self.field_params()
+        self.time_grid()
 
     # dependent objects -----------------------------------------------------
     def field_params(self) -> FieldParams:
@@ -148,8 +148,11 @@ def config_from_output(path: str) -> tuple[str, RunConfig]:
         import json
 
         doc = json.loads(text)
-        return doc["command"], RunConfig(**{
-            key: _setting(path, key, value, text=False) for key, value in doc["config"].items()})
+        command, config = doc.get("command"), doc.get("config")
+        if not (isinstance(command, str) and isinstance(config, dict)):
+            raise ValueError(f"{path}: missing run header")
+        return command, RunConfig(**{
+            key: _setting(path, key, value, text=False) for key, value in config.items()})
     command = None
     kv_lines = []
     for raw in text.splitlines():
@@ -238,13 +241,16 @@ def _observed(cfg: RunConfig, series, gamma_mev: float):
     return total_current_both_valleys(series) if cfg.valleys == "both" else series
 
 
+def _printed_current(cfg: RunConfig, value):
+    """A current in units of e*v_F as printed: in A m under --si-current."""
+    return E_CHARGE * cfg.v_f * value if cfg.si_current else value
+
+
 def cmd_current(cfg: RunConfig, model: SpectrumModel, table: WeightTable,
                 grid: TimeGrid, out: str | None) -> None:
     jx, jy = (_observed(cfg, j, cfg.gamma_mev) for j in currents(table, model, grid))
-    values = [jx.values, jy.values]  # in units of e*v_F
-    if cfg.si_current:
-        values = [E_CHARGE * cfg.v_f * v for v in values]
-    columns = [convert(jx.grid.times, "s", "fs"), *values]
+    columns = [convert(jx.grid.times, "s", "fs"),
+               *(_printed_current(cfg, j.values) for j in (jx, jy))]
     _render(cfg, "current", ["t_fs", "jx_evf", "jy_evf"], columns, out=out)
 
 
@@ -263,7 +269,7 @@ def cmd_gamma_scan(cfg: RunConfig, model: SpectrumModel, table: WeightTable,
         row: list = [g]
         for st in report.stations:
             row.append(st.classification)
-            row.append("" if st.peak is None else st.peak.value)
+            row.append("" if st.peak is None else _printed_current(cfg, st.peak.value))
         rows.append(row)
     gamma_max = estimate_gamma_max(cfg.packet_spec(), model.params)
     trailer = [f"gamma_max_mev = {_format_value(convert(gamma_max, 'J', 'meV'))}"]

@@ -21,20 +21,22 @@ import numpy as np
 
 BANDS = ("positive", "negative", "both")
 
+# the relative Gaussian amplitude weight, in (0, 1), that truncating a
+# packet's level sum may discard; build_weights reads it on every call
+TAIL_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class PacketSpec:
     """Packet parameters: central level, level-space width, band content.
 
     n0 is at most 2**52, so that every level index of the packet is an exact
-    double. tail_tolerance, in (0, 1), bounds the relative Gaussian amplitude
-    weight that truncating the level sum may discard.
+    double. The level sum is truncated at TAIL_TOLERANCE (build_weights).
     """
 
     n0: int
     sigma: float
     bands: str = "positive"
-    tail_tolerance: float = 1e-12
 
     def __post_init__(self):
         if not (isinstance(self.n0, numbers.Integral) and not isinstance(self.n0, bool)
@@ -44,8 +46,6 @@ class PacketSpec:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.bands not in BANDS:
             raise ValueError(f"bands must be one of {BANDS}, got {self.bands!r}")
-        if not 0.0 < self.tail_tolerance < 1.0:
-            raise ValueError(f"tail_tolerance must be in (0, 1), got {self.tail_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,12 @@ def build_weights(spec: PacketSpec) -> WeightTable:
 
     The range is (n_min, n_max) = (max(0, n0-k), n0+k) with the smallest k
     such that the amplitude weight g_n = exp(-(n-n0)^2/(2 sigma)) excluded
-    from it is less than tail_tolerance of the total over n >= 0. U_{m,n} is
+    from it is less than TAIL_TOLERANCE of the total over n >= 0. U_{m,n} is
     proportional to g_m * g_n over that range and normalized so the total
     population sums to exactly 1; for two-band packets each band carries
     half, i.e. the stored per-band diagonal sums to 1/2.
     """
-    n0, sigma, tol = spec.n0, spec.sigma, spec.tail_tolerance
+    n0, sigma, tol = spec.n0, spec.sigma, TAIL_TOLERANCE
     # past |n-n0| > sqrt(1492 sigma) the exponent is below -746, where exp
     # underflows to 0.0, so g's sum over this window is the total over n >= 0
     half = math.ceil(math.sqrt(1492.0 * sigma)) + 1

@@ -163,6 +163,6 @@ def test_workload_level_ranges_match_the_exact_oracle():
                 built = {(inv.n0, inv.sigma, inv.bands) for inv in w["invocations"]}
             assert built <= WORKLOAD_PACKETS, (name, seed, built - WORKLOAD_PACKETS)
     for n0, sigma, bands in sorted(WORKLOAD_PACKETS):
-        k = truncation_half_width(n0, sigma, 1e-12)
+        k = truncation_half_width(n0, sigma, gr.wavepacket.TAIL_TOLERANCE)
         assert gr.truncation_range(gr.PacketSpec(n0, sigma, bands)) == \
             (max(0, n0 - k), n0 + k), (n0, sigma, bands)

@@ -536,6 +536,36 @@ def test_gamma_scan_json_trailer(tmp_path):
     assert cfg == replace(config_from_output(str(csv))[1], format="json")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gamma_scan_si_current_scales_only_the_peaks(tmp_path, fmt):
+    # --si-current prints each peak in A m, as current does its columns, and
+    # classifies on the same series: the class cells and the trailer stay
+    plain, si = tmp_path / f"g.{fmt}", tmp_path / f"si.{fmt}"
+    argv = ("gamma-scan", "--gamma-mev", "2", "--bands", "both", "--format", fmt)
+    assert run_cli(*argv, "--out", str(plain)) == 0
+    assert run_cli(*argv, "--si-current", "--out", str(si)) == 0
+
+    def table(path):  # columns, rows, trailer
+        if fmt == "csv":
+            return read_csv(path)[1:]
+        doc = json.loads(path.read_text())
+        return doc["columns"], doc["rows"], doc["trailer"]
+
+    columns, rows, trailer = table(plain)
+    _, si_rows, si_trailer = table(si)
+    assert si_trailer == trailer and len(si_rows) == len(rows)
+    scale = E_CHARGE * RunConfig().v_f
+    peaks = 0
+    for row, si_row in zip(rows, si_rows):
+        for name, cell, si_cell in zip(columns, row, si_row):
+            if name.endswith("_peak") and cell != "":
+                assert float(si_cell) == scale * float(cell)
+                peaks += 1
+            else:
+                assert si_cell == cell
+    assert peaks > 0
+
+
 def test_gamma_scan_monotone_visibility(tmp_path):
     out = tmp_path / "g2.csv"
     assert run_cli("gamma-scan", "--gamma-mev", "2.0", "--samples", "8192",
@@ -562,6 +592,37 @@ def test_run_config_validation():
         RunConfig(format="xml")
     with pytest.raises(ValueError):
         RunConfig(samples=1)
+    # B, v_F and the gap have no rule of RunConfig's own: FieldParams checks them
+    for setting in ({"B": math.nan}, {"B": 0.0}, {"v_f": -1.0}, {"v_f": math.inf},
+                    {"gap_mev": -1.0}):
+        with pytest.raises(ValueError, match="B = |gap energy"):
+            RunConfig(**setting)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_echo_with_a_non_finite_field_raises(tmp_path, fmt):
+    out = tmp_path / f"a.{fmt}"
+    assert run_cli("autocorr", "--samples", "64", "--format", fmt, "--out", str(out)) == 0
+    text = out.read_text()
+    echo = ('"B": 10.0', '"B": NaN') if fmt == "json" else ("# B = 10.0", "# B = nan")
+    assert echo[0] in text
+    out.write_text(text.replace(*echo))
+    with pytest.raises(ValueError, match="B = nan T"):
+        config_from_output(str(out))
+
+
+@pytest.mark.parametrize("doc", [
+    {"config": {"n0": 15}},
+    {"command": "autocorr"},
+    {"command": "autocorr", "config": [["n0", 15]]},
+    {"command": ["autocorr"], "config": {"n0": 15}},
+])
+def test_malformed_json_echo_raises(tmp_path, doc):
+    out = tmp_path / "a.json"
+    out.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="missing run header") as err:
+        config_from_output(str(out))
+    assert str(err.value).startswith(str(out))
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,7 +9,7 @@ from graphene_revivals import (HBAR, BroadeningModel, Eigenspinor, FieldParams,
                                abs_squared, autocorrelation, build_weights, convert,
                                current_single_band, current_two_band,
                                currents, damped, landau_energy, measure_period,
-                               timescales, total_current_both_valleys)
+                               timescales, total_current_both_valleys, wavepacket)
 from graphene_revivals._kernels import phase_rounding, trig_series
 from graphene_revivals.observables import _series, _terms, max_frequency
 from graphene_revivals.wavepacket import WeightTable
@@ -231,11 +231,13 @@ def test_valley_doubling_commutes_with_broadening(table15, model10):
         2 * jy_plain.values * env, rel=1e-12, abs=1e-300)
 
 
-def test_truncation_robustness(model10):
+def test_truncation_robustness(monkeypatch, model10):
     # halving the tail tolerance moves every observable by < 1e-10 (sup-norm)
     grid = TimeGrid(0.0, 2e-11, 2048)
-    coarse = build_weights(PacketSpec(15, 3.0, tail_tolerance=1e-12))
-    fine = build_weights(PacketSpec(15, 3.0, tail_tolerance=5e-13))
+    monkeypatch.setattr(wavepacket, "TAIL_TOLERANCE", 1e-12)
+    coarse = build_weights(PacketSpec(15, 3.0))
+    monkeypatch.setattr(wavepacket, "TAIL_TOLERANCE", 5e-13)
+    fine = build_weights(PacketSpec(15, 3.0))
     a1 = autocorrelation(coarse, model10, grid).values
     a2 = autocorrelation(fine, model10, grid).values
     assert np.abs(a1 - a2).max() / np.abs(a1).max() < 1e-10

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from graphene_revivals import (PacketSpec, WeightTable, build_weights,
-                               truncation_range)
+                               truncation_range, wavepacket)
 
 from oracles import truncation_half_width
 
@@ -20,14 +20,6 @@ def test_spec_validation():
         PacketSpec(15, 0.0)
     with pytest.raises(ValueError):
         PacketSpec(15, 3.0, bands="up")
-    with pytest.raises(ValueError):
-        PacketSpec(15, 3.0, tail_tolerance=1.0)
-    with pytest.raises(ValueError):
-        PacketSpec(15, 3.0, tail_tolerance=0.0)
-    with pytest.raises(ValueError):
-        PacketSpec(15, 3.0, tail_tolerance=math.nan)
-    with pytest.raises(ValueError):
-        PacketSpec(15, 3.0, tail_tolerance=-1e-12)
 
 
 @pytest.mark.parametrize("n0,sigma,tol", [
@@ -40,27 +32,29 @@ def test_spec_validation():
     # total - inside rounds to the wrong side and widens the range by one level
     (1645, 249.0052674639354, 1e-12), (1574, 1175.8376681231177, 1e-12),
 ])
-def test_truncation_matches_tail_sum_oracle(n0, sigma, tol):
+def test_truncation_matches_tail_sum_oracle(monkeypatch, n0, sigma, tol):
+    monkeypatch.setattr(wavepacket, "TAIL_TOLERANCE", tol)
     k = truncation_half_width(n0, sigma, tol)
-    assert truncation_range(PacketSpec(n0, sigma, tail_tolerance=tol)) == \
-        (max(0, n0 - k), n0 + k)
+    assert truncation_range(PacketSpec(n0, sigma)) == (max(0, n0 - k), n0 + k)
 
 
 @pytest.mark.parametrize("tol, levels", [(1e-20, (0, 31)), (1e-300, (0, 79)),
                                          (5e-324, (0, 81))])
-def test_truncation_at_tolerances_below_the_rounding_of_the_total(tol, levels):
+def test_truncation_at_tolerances_below_the_rounding_of_the_total(monkeypatch, tol, levels):
     # the smallest subnormal tolerance still leaves the range inside the window
+    monkeypatch.setattr(wavepacket, "TAIL_TOLERANCE", tol)
     assert truncation_half_width(15, 3.0, tol) == levels[1] - 15
-    assert truncation_range(PacketSpec(15, 3.0, tail_tolerance=tol)) == levels
+    assert truncation_range(PacketSpec(15, 3.0)) == levels
 
 
-def test_truncation_matches_tail_sum_oracle_on_seeded_packets():
+def test_truncation_matches_tail_sum_oracle_on_seeded_packets(monkeypatch):
     rng = random.Random(17)
     for _ in range(200):
         n0, sigma = rng.randint(1, 3000), 10.0 ** rng.uniform(-2.0, math.log10(1500.0))
         tol = 10.0 ** rng.uniform(-300.0, -0.5)
+        monkeypatch.setattr(wavepacket, "TAIL_TOLERANCE", tol)
         k = truncation_half_width(n0, sigma, tol)
-        assert truncation_range(PacketSpec(n0, sigma, tail_tolerance=tol)) == \
+        assert truncation_range(PacketSpec(n0, sigma)) == \
             (max(0, n0 - k), n0 + k), (n0, sigma, tol)
 
 
@@ -69,10 +63,11 @@ def test_truncation_frozen_value():
     assert truncation_range(PacketSpec(15, 3.0)) == (3, 27)
 
 
-def test_truncation_collapses_with_loose_tolerance():
+def test_truncation_collapses_with_loose_tolerance(monkeypatch):
     widths = []
     for tol in (1e-12, 1e-6, 1e-2, 0.5):
-        lo, hi = truncation_range(PacketSpec(15, 3.0, tail_tolerance=tol))
+        monkeypatch.setattr(wavepacket, "TAIL_TOLERANCE", tol)
+        lo, hi = truncation_range(PacketSpec(15, 3.0))
         widths.append(hi - lo)
     assert widths == sorted(widths, reverse=True)
     assert widths[-1] <= 2
