@@ -21,15 +21,15 @@ from numpy._core.multiarray import c_einsum as _c_einsum
 
 # --- weighted trigonometric series -----------------------------------------
 #
-# trig_series(w, om, t, np.cos, np.sin) == (C, S) with
+# trig_series(w, om, t, (a, b)) == (a * C, b * S) with
 #
 #   C[k] = sum_j w[j] * cos(om[j] * t[k]),   S[k] = sum_j w[j] * sin(om[j] * t[k])
 #
 # One kernel serves every observable: autocorrelation (weights = level
 # populations, om = E_n/hbar), currents (weights = first off-diagonal
-# overlaps, om = transition frequencies). A caller names only the functions
-# its series uses: the two-band current is a pure sine series and asks for
-# np.sin alone, so no cosine of its large sum-frequency phases is evaluated.
+# overlaps, om = transition frequencies), with the scales of its line list
+# (observables._terms). A scale of 0 gives +0 and evaluates no function: the
+# two-band current is a pure sine series, so no cosine is computed.
 #
 # The T x L phase table is walked in blocks of whole rows through three
 # preallocated (rows, L) buffers of BLOCK_ELEMENTS phases each (768 KiB),
@@ -51,11 +51,11 @@ from numpy._core.multiarray import c_einsum as _c_einsum
 #
 # for every h, as tan has period pi. numpy's SIMD tan costs about 1.5 ns per
 # element up to ~5e4 rad and ~6 ns above 1e5, where libm's sin and cos cost
-# 19-21 ns on [-pi, pi], and more above ~1e8 rad. The 2 of the sine is
-# applied to the finished sum, exactly. One t serves both functions of a
-# one-band series. Each function is formed in the buffer of its own input,
-# cos over q and sin over t; neither reads what the other overwrites, so
-# either order of a (cos, sin) request gives the same bits.
+# 19-21 ns on [-pi, pi], and more above ~1e8 rad. A scale multiplies its
+# finished sum in place; the sine's 2 is folded into it exactly. One t
+# serves both functions. Each function is formed in the buffer of its own
+# input, cos over q and sin over t; neither reads what the other overwrites,
+# so a function's bits do not depend on the other's scale.
 #
 # The sum over j of each row is one einsum("ij,j->i", f(x), w): the weight
 # multiply and the sum in one pass of numpy's own sum-of-products loop. Its
@@ -99,8 +99,8 @@ def _vector(name, values):
     return values
 
 
-def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *trigs):
-    """(sum_j w_j f(om_j t_k) for f in trigs) over the time grid, f np.cos or np.sin.
+def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, scales):
+    """(a * sum_j w_j cos(om_j t_k), b * sum_j w_j sin(om_j t_k)) for scales (a, b).
 
     Error model, to first order: let x = fl(om_j * t_k), h = x/2 (exact),
     T = tan(h), which no reduction bounds, and u = eps/2. With np.tan within
@@ -137,31 +137,29 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
     itself moves it by up to eps/2 * |om_j * t_k|, so against the exact sum
     at the same float inputs
 
-        |err_k| <= eps * (max|om| * max|t| + L + 3) / 2 * sum_j |w_j|.
+        |err_k| <= eps * (max|om| * max|t| + L + 3) / 2 * sum_j |w_j|
+
+    before the scales, which multiply exactly when they are +-2^m.
 
     Raises ValueError when an input is not one-dimensional, when weights
-    and omegas differ in length, when a function other than np.cos or np.sin
-    is requested or one is requested twice, or when the largest phase is too
-    large to carry correct digits (see :func:`phase_rounding`).
+    and omegas differ in length, or when the largest phase is too large to
+    carry correct digits (see :func:`phase_rounding`).
     """
     weights = _vector("weights", weights)
     omegas = _vector("omegas", omegas)
     times = _vector("times", times)
     if weights.shape != omegas.shape:
         raise ValueError("weights and omegas must have the same length")
-    if not all(trig is np.cos or trig is np.sin for trig in trigs):
-        raise ValueError("trig_series evaluates np.cos and np.sin only")
-    if len(set(trigs)) != len(trigs):
-        raise ValueError("trig_series evaluates each function once per call")
+    cos_scale, sin_scale = scales
     # the ufunc, not ndarray.max: that method forwards to numpy's Python _amax,
     # and its first use in a process leaves a 54-byte object in some
     # processes only, so a first call's tracemalloc peak would not repeat
     phase_rounding(np.maximum.reduce(np.abs(omegas), initial=0.0),
                    np.maximum.reduce(np.abs(times), initial=0.0))
     n_t, n_l = times.size, omegas.size
-    sums = tuple(np.zeros(n_t) for _ in trigs)
+    cos_sum, sin_sum = np.zeros(n_t), np.zeros(n_t)
     if n_t == 0 or n_l == 0:
-        return sums
+        return cos_sum, sin_sum
     half_omegas = 0.5 * omegas
     rows = 1 if n_l > _EINSUM_BUFFER else min(n_t, max(1, BLOCK_ELEMENTS // n_l))
     phase, tangent, denom = (np.empty((rows, n_l)) for _ in range(3))
@@ -172,14 +170,15 @@ def trig_series(weights: np.ndarray, omegas: np.ndarray, times: np.ndarray, *tri
         np.tan(h, out=t)
         q = np.multiply(t, t, out=h)
         np.add(q, 1.0, out=d)
-        for trig, total in zip(trigs, sums):
-            f = np.subtract(1.0, q, out=q) if trig is np.cos else t
-            _c_einsum("ij,j->i", np.divide(f, d, out=f), weights,
-                      out=total[start:start + t_k.size])
-    for trig, total in zip(trigs, sums):
-        if trig is np.sin:
-            total *= 2.0  # the sums were of t / d
-    return sums
+        block = slice(start, start + t_k.size)
+        if cos_scale:
+            c = np.subtract(1.0, q, out=q)
+            _c_einsum("ij,j->i", np.divide(c, d, out=c), weights, out=cos_sum[block])
+        if sin_scale:
+            _c_einsum("ij,j->i", np.divide(t, d, out=t), weights, out=sin_sum[block])
+    cos_sum *= cos_scale
+    sin_sum *= 2.0 * sin_scale  # the sums were of t / d
+    return cos_sum, sin_sum
 
 
 # --- normalized Hermite-Gaussian recurrence ---------------------------------

@@ -151,21 +151,24 @@ def config_from_output(path: str) -> tuple[str, RunConfig]:
         command, config = doc.get("command"), doc.get("config")
         if not (isinstance(command, str) and isinstance(config, dict)):
             raise ValueError(f"{path}: missing run header")
-        return command, RunConfig(**{
-            key: _setting(path, key, value, text=False) for key, value in config.items()})
-    command = None
-    kv_lines = []
-    for raw in text.splitlines():
-        if not raw.startswith("#"):
-            break
-        body = raw[1:].strip()
-        if body.startswith("graphene-revivals"):
-            command = body.split()[-1]
-        elif "=" in body:
-            kv_lines.append(body)
-    if command is None:
-        raise ValueError(f"{path}: missing run header")
-    return command, RunConfig(**parse_config_lines(kv_lines, source=path))
+        values = {key: _setting(path, key, value, text=False) for key, value in config.items()}
+    else:
+        command = None
+        kv_lines = []
+        for raw in text.splitlines():
+            if not raw.startswith("#"):
+                break
+            body = raw[1:].strip()
+            if body.startswith("graphene-revivals"):
+                command = body.split()[-1]
+            elif "=" in body:
+                kv_lines.append(body)
+        if command is None:
+            raise ValueError(f"{path}: missing run header")
+        values = parse_config_lines(kv_lines, source=path)
+    if command not in _COMMANDS:
+        raise ValueError(f"{path}: unknown command {command!r}")
+    return command, RunConfig(**values)
 
 
 def _render(cfg: RunConfig, command: str, header: list[str], columns: list,
@@ -276,6 +279,11 @@ def cmd_gamma_scan(cfg: RunConfig, model: SpectrumModel, table: WeightTable,
     _render(cfg, "gamma-scan", header, list(zip(*rows)), trailer=trailer, out=out)
 
 
+# the subcommands, named once for build_parser and config_from_output
+_COMMANDS = {"timescales": cmd_timescales, "autocorr": cmd_autocorr,
+             "current": cmd_current, "gamma-scan": cmd_gamma_scan}
+
+
 # --- argument parsing --------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,11 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="graphene-revivals",
         description="Landau-level wave-packet dynamics in monolayer graphene")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, run, help_text in (
-            ("timescales", cmd_timescales, "characteristic periods and derived quantities"),
-            ("autocorr", cmd_autocorr, "autocorrelation series"),
-            ("current", cmd_current, "electric-current series"),
-            ("gamma-scan", cmd_gamma_scan, "revival classification vs level width")):
+    for (name, run), help_text in zip(_COMMANDS.items(), (
+            "characteristic periods and derived quantities", "autocorrelation series",
+            "electric-current series", "revival classification vs level width")):
         sub.add_parser(name, parents=[common], help=help_text).set_defaults(run=run)
     return parser
 

@@ -25,8 +25,8 @@ class FieldParams:
     b_tesla : perpendicular magnetic field [T], must be > 0 (a vanishing
         field gives a continuous spectrum and no discrete-level dynamics).
     v_fermi : Fermi velocity [m/s], > 0.
-    gap_energy : energy gap [J], >= 0. It enters every level energy, period
-        and series frequency, but not the current weights (README).
+    gap_energy : energy gap [J], >= 0 and not -0.0. It enters every level
+        energy, period and series frequency, but not the current weights (README).
 
     All three must be finite; NaN and infinities raise ValueError. So does
     a (B, v_F) whose e*B, hbar/(e*B), Omega or hbar*Omega is zero,
@@ -38,7 +38,8 @@ class FieldParams:
     gap_energy: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.gap_energy < math.inf:
+        # copysign: 0.0 <= -0.0 holds, but a negative zero is a negative gap
+        if not (0.0 <= self.gap_energy < math.inf and math.copysign(1.0, self.gap_energy) > 0):
             raise ValueError(
                 f"gap energy must be non-negative and finite, got {self.gap_energy} J")
         e_b = E_CHARGE * self.b_tesla

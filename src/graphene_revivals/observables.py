@@ -102,14 +102,9 @@ def _terms(table: WeightTable, model: SpectrumModel, current: bool):
 
 
 def _series(table, model, times, current):
-    """Each sum of :func:`_terms` times its scale, from one kernel call that
-    evaluates only the functions of nonzero scale; a zero scale gives zeros."""
+    """The scaled (cos, sin) sums of :func:`_terms` over times, in one kernel call."""
     weights, omegas, scales = _terms(table, model, current)
-    sums = iter(trig_series(weights, omegas, times,
-                            *(f for f, k in zip((np.cos, np.sin), scales) if k)))
-    # at k == 1 the sum itself: k * sum would copy the column
-    return tuple(np.zeros_like(times) if not k else next(sums) if k == 1
-                 else k * next(sums) for k in scales)
+    return trig_series(weights, omegas, times, scales)
 
 
 def autocorrelation(table: WeightTable, model: SpectrumModel,

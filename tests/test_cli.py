@@ -593,8 +593,9 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(samples=1)
     # B, v_F and the gap have no rule of RunConfig's own: FieldParams checks them
+    # -1e-310 meV is -0.0 J: 0.0 <= -0.0 holds, the sign bit is refused
     for setting in ({"B": math.nan}, {"B": 0.0}, {"v_f": -1.0}, {"v_f": math.inf},
-                    {"gap_mev": -1.0}):
+                    {"gap_mev": -1.0}, {"gap_mev": -0.0}, {"gap_mev": -1e-310}):
         with pytest.raises(ValueError, match="B = |gap energy"):
             RunConfig(**setting)
 
@@ -621,6 +622,20 @@ def test_malformed_json_echo_raises(tmp_path, doc):
     out = tmp_path / "a.json"
     out.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="missing run header") as err:
+        config_from_output(str(out))
+    assert str(err.value).startswith(str(out))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_echo_of_an_unknown_command_raises(tmp_path, fmt):
+    out = tmp_path / f"a.{fmt}"
+    assert run_cli("autocorr", "--samples", "64", "--format", fmt, "--out", str(out)) == 0
+    text = out.read_text()
+    header = (('"command": "autocorr"', '"command": "bogus"') if fmt == "json"
+              else ("# graphene-revivals autocorr", "# graphene-revivals bogus"))
+    assert header[0] in text
+    out.write_text(text.replace(*header))
+    with pytest.raises(ValueError, match="unknown command 'bogus'") as err:
         config_from_output(str(out))
     assert str(err.value).startswith(str(out))
 
@@ -803,6 +818,8 @@ def test_gapped_timescales(tmp_path):
 
 @pytest.mark.parametrize("argv, config", [
     (("--gap-mev", "1e300"), None),  # E'' underflows to zero
+    (("--gap-mev=-0.0",), None),     # a negative zero gap
+    (("--gap-mev=-1e-310",), None),  # -0.0 J once converted
     (("--B", "1e-310"), None),       # e*B underflows to zero
     (("--B", "1e308"), None),        # hbar/(e*B) subnormal
     ((), "v_f = 1e-320\n"),          # hbar*Omega underflows to zero
@@ -813,7 +830,7 @@ def test_gapped_timescales(tmp_path):
     (("--n0", str(2**63)), None),
     (("--n0", str(2**64)), None),
     (("--n0", str(10**400)), None),
-], ids=["gap-1e300", "B-1e-310", "B-1e308", "v_f-1e-320", "v_f-1e300",
+], ids=["gap-1e300", "gap--0.0", "gap--1e-310", "B-1e-310", "B-1e308", "v_f-1e-320", "v_f-1e300",
         "n0-2^53+1", "n0-2^63", "n0-2^64", "n0-10^400"])
 def test_extreme_field_and_gap_are_config_errors(tmp_path, capsys, argv, config):
     if config is not None:

@@ -16,7 +16,7 @@ from oracles import (exact_sums_of_phases, exact_trig_sums, hermite_log_bound,
 
 def test_trig_series_shape_validation():
     with pytest.raises(ValueError):
-        _kernels.trig_series(np.ones(3), np.ones(4), np.linspace(0, 1, 5))
+        _kernels.trig_series(np.ones(3), np.ones(4), np.linspace(0, 1, 5), (1, 1))
 
 
 @pytest.mark.parametrize("weights, omegas, times", [
@@ -29,7 +29,7 @@ def test_trig_series_shape_validation():
 def test_trig_series_rejects_non_vector_input(weights, omegas, times):
     # np.outer would flatten a 2-D input and make a scalar time a 1-sample series
     with pytest.raises(ValueError, match="one-dimensional"):
-        _kernels.trig_series(weights, omegas, times, np.cos)
+        _kernels.trig_series(weights, omegas, times, (1, 0))
 
 
 def test_hermite_sweep_rejects_negative_order():
@@ -130,7 +130,7 @@ def test_phase_rounding_bound_arithmetic():
 def test_trig_series_refuses_phases_without_correct_digits():
     with pytest.raises(ValueError, match="limit"):
         _kernels.trig_series(np.ones(2), np.array([1e3, -1e15]),
-                             np.array([0.0, 1e300]))
+                             np.array([0.0, 1e300]), (1, 1))
 
 
 def _wide_band_series_inputs():
@@ -158,7 +158,7 @@ def test_trig_series_error_model_against_exact_sums():
     for w, om in cases:
         bound = eps * (np.abs(om).max() * np.abs(times).max() + om.size) * np.abs(w).sum()
         exact = exact_trig_sums(w, om, t)
-        got = _kernels.trig_series(w, om, t, np.cos, np.sin)
+        got = _kernels.trig_series(w, om, t, (1, 1))
         for g, e in zip(got, exact):
             assert np.abs(g - e).max() <= bound
 
@@ -186,7 +186,7 @@ def test_trig_series_per_element_error_against_mpmath():
                           for tan_h in (2, 0.5, mp.mpf(2) ** 26.5) for j in np.r_[0.0, turns]])
     at_poles = [poles, np.nextafter(poles, np.inf), np.nextafter(poles, -np.inf)]
     phases = np.concatenate([[0.0, -0.0, 5e-324], spread, quarter_turns, *near, *at_poles, worst])
-    got = _kernels.trig_series(np.ones(1), np.ones(1), phases, np.cos, np.sin)
+    got = _kernels.trig_series(np.ones(1), np.ones(1), phases, (1, 1))
     exact = exact_sums_of_phases(np.ones(1), phases[:, np.newaxis])
     with mp.workdps(60):
         for g, e in zip(got, exact):
@@ -217,27 +217,40 @@ def test_numpy_tan_is_within_0_8_ulp():
     assert worst <= 0.8
 
 
-@pytest.mark.parametrize("trigs", [(np.cos,), (np.sin,), (np.cos, np.sin), (np.sin, np.cos)])
-def test_trig_series_function_bits_do_not_depend_on_the_request(trigs):
-    # cos and sin share one tangent per phase; each function's bytes must be
-    # those it has when requested alone
+@pytest.mark.parametrize("scales", [(1, 0), (0, 1), (-2.0, 1), (1, -1), (2.0, 0)])
+def test_trig_series_scaled_bits_are_those_of_the_scaled_unit_sums(scales):
+    # cos and sin share one tangent per phase; each column must have the bytes
+    # of k times the (1, 1) column, the sine's 2k * S those of k * (2 * S),
+    # and be +0 zeros at k = 0
     rng = np.random.default_rng(6)
     weights, omegas = rng.random(25), 1e15 * rng.uniform(-1, 1, 25)
     times = np.linspace(-4e-7, 4.4e-3, 3000)
-    got = _kernels.trig_series(weights, omegas, times, *trigs)
-    for trig, values in zip(trigs, got):
-        (alone,) = _kernels.trig_series(weights, omegas, times, trig)
-        assert values.tobytes() == alone.tobytes()
+    got = _kernels.trig_series(weights, omegas, times, scales)
+    unit = _kernels.trig_series(weights, omegas, times, (1, 1))
+    for k, values, one in zip(scales, got, unit):
+        assert values.tobytes() == (k * one if k else np.zeros(times.size)).tobytes()
 
 
-def test_trig_series_evaluates_cos_and_sin_only():
-    with pytest.raises(ValueError, match="np.cos and np.sin only"):
-        _kernels.trig_series(np.ones(3), np.ones(3), np.linspace(0, 1, 5), np.cos, np.tan)
-    # each function is formed in place over its own input, so a second copy
-    # of it would be evaluated on what the first one left there
-    for trigs in ((np.cos, np.cos), (np.sin, np.sin)):
-        with pytest.raises(ValueError, match="once per call"):
-            _kernels.trig_series(np.ones(3), np.ones(3), np.linspace(0, 1, 5), *trigs)
+@pytest.mark.parametrize("scales, sums_per_block", [
+    ((1, 1), 2), ((1, 0), 1), ((0, 1), 1), ((0, 0), 0)])
+def test_trig_series_sums_only_the_functions_of_nonzero_scale(monkeypatch, scales,
+                                                              sums_per_block):
+    # a zero scale evaluates nothing: each block makes one weighted row sum
+    # per function of nonzero scale
+    row_sums = []
+    einsum = _kernels._c_einsum
+
+    def counting(subscripts, *operands, **kwargs):
+        row_sums.append(subscripts == "ij,j->i")
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(_kernels, "_c_einsum", counting)
+    rng = np.random.default_rng(4)
+    n_t, n_l = 2000, 50
+    blocks = math.ceil(n_t / (_kernels.BLOCK_ELEMENTS // n_l))
+    _kernels.trig_series(rng.random(n_l), rng.random(n_l), np.linspace(0.0, 1.0, n_t), scales)
+    assert sum(row_sums) == sums_per_block * blocks
+    assert len(row_sums) == (1 + sums_per_block) * blocks  # and one phase product
 
 
 _unit = st.floats(-1.0, 1.0)
@@ -255,7 +268,7 @@ def test_trig_series_against_exact_sums_of_the_same_phases(max_phase, data, weig
     omegas = 1e15 * np.array(data.draw(st.lists(_unit, min_size=n_l, max_size=n_l)))
     times = max_phase / 1e15 * np.array(data.draw(st.lists(_unit, min_size=1, max_size=8)))
     weights = np.array(weights)
-    got = _kernels.trig_series(weights, omegas, times, np.cos, np.sin)
+    got = _kernels.trig_series(weights, omegas, times, (1, 1))
     exact = exact_sums_of_phases(weights, np.multiply.outer(times, omegas))
     eps = np.finfo(np.float64).eps
     bound = eps * (n_l + 3) / 2 * np.abs(weights).sum()
@@ -269,11 +282,11 @@ def test_trig_series_bits_do_not_depend_on_the_block_size(monkeypatch, n_l):
     rng = np.random.default_rng(n_l)
     weights, omegas = rng.random(n_l), 1e15 * rng.uniform(-1, 1, n_l)
     times = np.linspace(-4e-7, 4.4e-3, 1000)  # phases up to 4.4e12 rad
-    reference = _kernels.trig_series(weights, omegas, times, np.cos, np.sin)
+    reference = _kernels.trig_series(weights, omegas, times, (1, 1))
     # 7 rows and the default 114 rows at L = 286 leave a partial last block
     for rows in (1, 7, times.size, 2 * times.size):
         monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", rows * n_l)
-        got = _kernels.trig_series(weights, omegas, times, np.cos, np.sin)
+        got = _kernels.trig_series(weights, omegas, times, (1, 1))
         for g, r in zip(got, reference):
             assert g.tobytes() == r.tobytes()
 
@@ -285,12 +298,12 @@ def test_trig_series_bits_do_not_depend_on_the_block_size_past_8192_levels(monke
     rng = np.random.default_rng(n_l)
     weights, omegas = rng.random(n_l), 1e15 * rng.uniform(-1, 1, n_l)
     times = np.linspace(-4e-7, 4.4e-3, 6)
-    one_by_one = [_kernels.trig_series(weights, omegas, times[k:k + 1], np.cos, np.sin)
+    one_by_one = [_kernels.trig_series(weights, omegas, times[k:k + 1], (1, 1))
                   for k in range(times.size)]
     for rows in (2, 3, 6):
         # the smallest budget that the default rule turns into this many rows
         monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", rows * n_l)
-        got = _kernels.trig_series(weights, omegas, times, np.cos, np.sin)
+        got = _kernels.trig_series(weights, omegas, times, (1, 1))
         for g, alone in zip(got, zip(*one_by_one)):
             assert g.tobytes() == np.concatenate(alone).tobytes(), rows
 
@@ -315,13 +328,13 @@ def test_trig_series_bits_do_not_depend_on_input_layout(n_l):
         return view
 
     inputs = (weights, omegas, times)
-    reference = _kernels.trig_series(*inputs, np.cos, np.sin)
+    reference = _kernels.trig_series(*inputs, (1, 1))
     for position in range(3):
         for view in (strided, reversed_, offset):
             args = list(inputs)
             args[position] = view(inputs[position])
             assert args[position].tobytes() == inputs[position].tobytes()
-            got = _kernels.trig_series(*args, np.cos, np.sin)
+            got = _kernels.trig_series(*args, (1, 1))
             for g, r in zip(got, reference):
                 assert g.tobytes() == r.tobytes(), (position, view.__name__)
 
@@ -329,35 +342,36 @@ def test_trig_series_bits_do_not_depend_on_input_layout(n_l):
 def test_trig_series_empty_grid_and_empty_level_set():
     # T = 0 gives empty sums, L = 0 gives zeros
     for weights, times in ((np.ones(3), np.array([])), (np.array([]), np.linspace(0, 1, 5))):
-        sums = _kernels.trig_series(weights, weights, times, np.cos, np.sin)
+        sums = _kernels.trig_series(weights, weights, times, (1, 1))
         assert [s.tobytes() for s in sums] == [np.zeros(times.size).tobytes()] * 2
 
 
-@pytest.mark.parametrize("trigs", [(np.sin,), (np.cos, np.sin)])
-def test_trig_series_memory_grows_by_the_outputs_only(trigs):
+@pytest.mark.parametrize("scales", [(0, 1), (1, 1)])
+def test_trig_series_memory_grows_by_the_outputs_only(scales):
     # the phase blocks have a fixed size, so between T = 2000 and T = 200000
-    # the traced peak grows by the len(trigs) float64 outputs alone
+    # the traced peak grows by the two float64 outputs alone (a zero scale's
+    # column too, which the call returns)
     rng = np.random.default_rng(5)
     n_l = 50
     weights, omegas = rng.random(n_l), rng.random(n_l) * 1e3
 
     def traced_peak(n_t):
         times = np.linspace(0.0, 1.0, n_t)
-        _kernels.trig_series(weights, omegas, times, *trigs)  # one-time numpy set-up
+        _kernels.trig_series(weights, omegas, times, scales)  # one-time numpy set-up
         tracemalloc.start()
         try:
-            _kernels.trig_series(weights, omegas, times, *trigs)
+            _kernels.trig_series(weights, omegas, times, scales)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     growth = traced_peak(200000) - traced_peak(2000)
-    assert growth <= len(trigs) * (200000 - 2000) * 8
+    assert growth <= 2 * (200000 - 2000) * 8
 
 
-@pytest.mark.parametrize("trigs", [(np.sin,), (np.cos, np.sin)])
-def test_trig_series_holds_outputs_and_three_block_buffers(trigs):
-    # The traced peak is the float64 outputs and the three block buffers of
+@pytest.mark.parametrize("scales", [(0, 1), (1, 1)])
+def test_trig_series_holds_outputs_and_three_block_buffers(scales):
+    # The traced peak is the two float64 outputs and the three block buffers of
     # BLOCK_ELEMENTS counted here. No pass broadcasts a row, so numpy holds
     # no ufunc buffer of np.getbufsize() floats, and the peak does not move
     # with np.setbufsize. What is left, Python objects, measured 3.4-3.5 KiB at
@@ -367,23 +381,23 @@ def test_trig_series_holds_outputs_and_three_block_buffers(trigs):
     weights, omegas = rng.random(n_l), rng.random(n_l) * 1e3
     times = np.linspace(0.0, 1.0, n_t)
     rows = min(n_t, _kernels.BLOCK_ELEMENTS // n_l)
-    expected = 8 * (len(trigs) * n_t + 3 * rows * n_l)
+    expected = 8 * (2 * n_t + 3 * rows * n_l)
     tracemalloc.start()
     try:
-        _kernels.trig_series(weights, omegas, times, *trigs)
+        _kernels.trig_series(weights, omegas, times, scales)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= expected + 8192
 
 
-def test_series_request_only_the_functions_they_use(monkeypatch, model10):
+def test_series_pass_the_scales_of_their_line_lists(monkeypatch, model10):
     requests = []
     kernel = observables.trig_series
 
-    def recording(weights, omegas, times, *trigs):
-        requests.append(trigs)
-        return kernel(weights, omegas, times, *trigs)
+    def recording(weights, omegas, times, scales):
+        requests.append(scales)
+        return kernel(weights, omegas, times, scales)
 
     monkeypatch.setattr(observables, "trig_series", recording)
     grid = observables.TimeGrid(0.0, 1e-12, 64)
@@ -393,8 +407,11 @@ def test_series_request_only_the_functions_they_use(monkeypatch, model10):
         call(build_weights(PacketSpec(15, 3.0, bands)), model10, grid)
         return requests[:]
 
-    assert requested(observables.currents, "both") == [(np.sin,)]
-    assert requested(observables.autocorrelation, "both") == [(np.cos,)]
-    for bands in ("positive", "negative"):
-        assert requested(observables.currents, bands) == [(np.cos, np.sin)]
-        assert requested(observables.autocorrelation, bands) == [(np.cos, np.sin)]
+    # a pure sine series, a pure cosine series, then each band's sign s on
+    # j_x = s * C and on Im A = -s * S
+    assert requested(observables.currents, "both") == [(0, 1)]
+    assert requested(observables.autocorrelation, "both") == [(2.0, 0)]
+    assert requested(observables.currents, "positive") == [(1, 1)]
+    assert requested(observables.autocorrelation, "positive") == [(1, -1)]
+    assert requested(observables.currents, "negative") == [(-1, 1)]
+    assert requested(observables.autocorrelation, "negative") == [(1, 1)]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphene_revivals import (HBAR, BroadeningModel, Eigenspinor, FieldParams,
                                ObservableSeries, PacketSpec, Peak, RevivalReport,
@@ -305,8 +307,28 @@ def test_two_band_slow_component_matches_single_band(model10):
     times = np.linspace(0.0, 1e-12, 257)
     _, jy_single = _series(single, model10, times, True)
     d_om, _ = _transition_frequencies(both, model10)
-    (slow,) = trig_series(both.offdiag, d_om, times, np.sin)
+    _, slow = trig_series(both.offdiag, d_om, times, (0, 1))
     assert slow == pytest.approx(jy_single / 2, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n0=st.integers(1, 200), sigma=st.floats(0.0, 50.0, exclude_min=True),
+       gap=st.floats(0.0, 3.0), bands=st.sampled_from(wavepacket.BANDS))
+def test_formula_free_bounds(model10, n0, sigma, gap, bands):
+    # A(0) = 1, |A(t)| <= 1 and j_x^2 + j_y^2 <= 1 (|<sigma>| <= 1) in one
+    # valley, whatever the packet, gap and band content. Exact in real
+    # arithmetic; each column may exceed them by the kernel's error model,
+    # eps * (L + 3) / 2 at unit weight sum over L <= 2 * levels terms, both
+    # columns together, plus eps per level for the weights' normalization
+    model = SpectrumModel(FieldParams(10.0, gap_energy=gap * HBAR * model10.omega))
+    table = build_weights(PacketSpec(n0, sigma, bands))
+    grid = TimeGrid(0.0, 1.1 * timescales(model, n0).t_revival, 300)
+    tol = 3 * np.finfo(np.float64).eps * (table.diag.size + 2)
+    a = autocorrelation(table, model, grid).values
+    jx, jy = (j.values for j in currents(table, model, grid))
+    assert abs(a[0] - 1.0) <= tol
+    assert np.abs(a).max() <= 1.0 + tol
+    assert np.hypot(jx, jy).max() <= 1.0 + tol
 
 
 def _top_frequency(table, model):
